@@ -67,11 +67,11 @@ class ProbContext:
         self.p = p
 
     def update(self, bit: int) -> None:
+        """The adaptation rule; the range coders' bin methods apply it inline."""
         if bit == 0:
             self.p += (PROB_ONE - self.p) >> ADAPT_SHIFT
         else:
             self.p -= self.p >> ADAPT_SHIFT
-        assert 1 <= self.p <= PROB_ONE - 1
 
     def __repr__(self) -> str:
         return f"ProbContext(p={self.p})"
@@ -106,13 +106,15 @@ class RangeEncoder:
 
     def encode_bit(self, ctx: ProbContext, bit: int) -> None:
         assert not self._flushed, "encoder already flushed"
-        bound = (self.range >> PROB_BITS) * ctx.p
+        p = ctx.p
+        bound = (self.range >> PROB_BITS) * p
         if bit == 0:
             self.range = bound
+            ctx.p = p + ((PROB_ONE - p) >> ADAPT_SHIFT)     # ProbContext.update
         else:
             self.low += bound
             self.range -= bound
-        ctx.update(bit)
+            ctx.p = p - (p >> ADAPT_SHIFT)
         while self.range < TOP:
             self.range = (self.range << 8) & MASK32
             self._shift_low()
@@ -177,15 +179,17 @@ class RangeDecoder:
         return b
 
     def decode_bit(self, ctx: ProbContext) -> int:
-        bound = (self.range >> PROB_BITS) * ctx.p
+        p = ctx.p
+        bound = (self.range >> PROB_BITS) * p
         if self.code < bound:
             bit = 0
             self.range = bound
+            ctx.p = p + ((PROB_ONE - p) >> ADAPT_SHIFT)     # ProbContext.update
         else:
             bit = 1
             self.code -= bound
             self.range -= bound
-        ctx.update(bit)
+            ctx.p = p - (p >> ADAPT_SHIFT)
         while self.range < TOP:
             self.range = (self.range << 8) & MASK32
             self.code = ((self.code << 8) | self._next_byte()) & MASK32

@@ -19,7 +19,6 @@ from .filters import (
     alf_block_vector,
     ccalf_block_scalar,
     ccalf_block_vector,
-    ccalf_block_wide,
     deblock_edge_scalar,
     deblock_edge_vector,
     lmcs_apply_scalar,

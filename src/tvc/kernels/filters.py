@@ -5,6 +5,12 @@ stays separate from boundary-strength metadata construction.  SAO/ALF/CCALF
 take a source plane plus a region and return the filtered block; callers
 write results into a distinct destination plane (filters never run in
 place across stage boundaries).
+
+The vector SAO (edge mode), ALF and CCALF kernels read their taps as offset
+slices of one window around the region (``_window``).  The window is a plain
+view when it lies inside the plane; where it crosses a plane edge, its
+out-of-plane coordinates are clamped to the nearest edge sample, which is
+the same replication the scalar references apply tap by tap.
 """
 from __future__ import annotations
 
@@ -33,6 +39,19 @@ LMCS_PIECES = 16
 
 def _smax(bit_depth: int) -> int:
     return (1 << bit_depth) - 1
+
+
+def _window(src: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
+    """``src[y0:y1, x0:x1]`` with out-of-plane coordinates clamped to the edge.
+
+    A view when the window lies inside the plane, else a gathered copy.
+    """
+    ph, pw = src.shape
+    if y0 >= 0 and x0 >= 0 and y1 <= ph and x1 <= pw:
+        return src[y0:y1, x0:x1]
+    ys = np.clip(np.arange(y0, y1), 0, ph - 1)
+    xs = np.clip(np.arange(x0, x1), 0, pw - 1)
+    return src[ys[:, None], xs[None, :]]
 
 
 def deblock_params(qp: int, bit_depth: int) -> tuple[int, int]:
@@ -164,29 +183,35 @@ def sao_block_vector(src: np.ndarray, x0: int, y0: int, w: int, h: int,
                      mode: int, band_start: int, eo_class: int,
                      offsets, bit_depth: int) -> np.ndarray:
     smax = _smax(bit_depth)
-    ph, pw = src.shape
+    if mode == SAO_EDGE:
+        ph, pw = src.shape
+        win = _window(src, y0 - 1, y0 + h + 1, x0 - 1, x0 + w + 1).astype(np.int32)
+        block = win[1 : h + 1, 1 : w + 1]
+        (dya, dxa), (dyb, dxb) = SAO_EDGE_NEIGHBORS[eo_class]
+        a = win[1 + dya : 1 + dya + h, 1 + dxa : 1 + dxa + w]
+        b = win[1 + dyb : 1 + dyb + h, 1 + dxb : 1 + dxb + w]
+        cat = np.sign(block - a) + np.sign(block - b)
+        lut = np.array([offsets[0], offsets[1], 0, offsets[2], offsets[3]], dtype=np.int32)
+        out = np.clip(block + lut[cat + 2], 0, smax)
+        # border: a sample with a neighbor outside the plane stays unfiltered
+        for dy, dx in SAO_EDGE_NEIGHBORS[eo_class]:
+            if y0 + dy < 0:
+                out[:1] = block[:1]
+            if y0 + h + dy > ph:
+                out[-1:] = block[-1:]
+            if x0 + dx < 0:
+                out[:, :1] = block[:, :1]
+            if x0 + w + dx > pw:
+                out[:, -1:] = block[:, -1:]
+        return out
     block = src[y0 : y0 + h, x0 : x0 + w].astype(np.int32)
     if mode == SAO_OFF:
         return block
-    if mode == SAO_BAND:
-        lut = np.zeros(32, dtype=np.int32)
-        for i in range(4):
-            lut[(band_start + i) % 32] = offsets[i]
-        idx = block >> (bit_depth - 5)
-        return np.clip(block + lut[idx], 0, smax)
-    (dya, dxa), (dyb, dxb) = SAO_EDGE_NEIGHBORS[eo_class]
-    ys = np.arange(y0, y0 + h)[:, None]
-    xs = np.arange(x0, x0 + w)[None, :]
-    ay, ax = ys + dya, xs + dxa
-    by, bx = ys + dyb, xs + dxb
-    valid = (ay >= 0) & (ay < ph) & (ax >= 0) & (ax < pw) \
-        & (by >= 0) & (by < ph) & (bx >= 0) & (bx < pw)
-    a = src[np.clip(ay, 0, ph - 1), np.clip(ax, 0, pw - 1)].astype(np.int32)
-    b = src[np.clip(by, 0, ph - 1), np.clip(bx, 0, pw - 1)].astype(np.int32)
-    cat = np.sign(block - a) + np.sign(block - b)
-    lut = np.array([offsets[0], offsets[1], 0, offsets[2], offsets[3]], dtype=np.int32)
-    adj = np.clip(block + lut[cat + 2], 0, smax)
-    return np.where(valid, adj, block)
+    lut = np.zeros(32, dtype=np.int32)
+    for i in range(4):
+        lut[(band_start + i) % 32] = offsets[i]
+    idx = block >> (bit_depth - 5)
+    return np.clip(block + lut[idx], 0, smax)
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +244,14 @@ def alf_block_scalar(src: np.ndarray, x0: int, y0: int, w: int, h: int,
 
 def alf_block_vector(src: np.ndarray, x0: int, y0: int, w: int, h: int,
                      pairs, bit_depth: int) -> np.ndarray:
-    ph, pw = src.shape
     cc = alf_center_coeff(pairs)
-    ys = np.arange(y0, y0 + h)[:, None]
-    xs = np.arange(x0, x0 + w)[None, :]
-    acc = 64 + cc * src[y0 : y0 + h, x0 : x0 + w].astype(np.int32)
+    win = _window(src, y0 - 2, y0 + h + 2, x0 - 2, x0 + w + 2).astype(np.int32)
+    acc = 64 + cc * win[2 : h + 2, 2 : w + 2]
     for (dy, dx), c in zip(ALF_PAIR_OFFSETS, pairs):
         if c == 0:
             continue
-        a = src[np.clip(ys + dy, 0, ph - 1), np.clip(xs + dx, 0, pw - 1)].astype(np.int32)
-        m = src[np.clip(ys - dy, 0, ph - 1), np.clip(xs - dx, 0, pw - 1)].astype(np.int32)
+        a = win[2 + dy : 2 + dy + h, 2 + dx : 2 + dx + w]
+        m = win[2 - dy : 2 - dy + h, 2 - dx : 2 - dx + w]
         acc += int(c) * (a + m)
     return np.clip(acc >> 7, 0, _smax(bit_depth))
 
@@ -260,38 +283,19 @@ def ccalf_block_scalar(chroma: np.ndarray, luma: np.ndarray, x0: int, y0: int,
 def ccalf_block_vector(chroma: np.ndarray, luma: np.ndarray, x0: int, y0: int,
                        w: int, h: int, coeffs, bit_depth: int) -> np.ndarray:
     """16-bit accumulation on the 8-bit path, 32-bit on the 10-bit path."""
-    lh, lw = luma.shape
     acc_t = np.int16 if bit_depth == 8 else np.int32
-    ly = np.minimum(2 * np.arange(y0, y0 + h), lh - 1)[:, None]
-    lx = np.minimum(2 * np.arange(x0, x0 + w), lw - 1)[None, :]
-    lc = luma[ly, lx].astype(acc_t)
+    # taps around the collocated luma (2y, 2x): stride-2 slices of one window
+    win = _window(luma, 2 * y0 - 1, 2 * (y0 + h) + 1,
+                  2 * x0 - 1, 2 * (x0 + w)).astype(acc_t)
+    lc = win[1 : 1 + 2 * h : 2, 1 : 1 + 2 * w : 2]
     acc = np.full((h, w), 32, dtype=acc_t)
     for (dy, dx), c in zip(CCALF_OFFSETS, coeffs):
         if c == 0:
             continue
-        sy = np.clip(ly + dy, 0, lh - 1)
-        sx = np.clip(lx + dx, 0, lw - 1)
-        acc += acc_t(c) * (luma[sy, sx].astype(acc_t) - lc)
+        t = win[1 + dy : 1 + dy + 2 * h : 2, 1 + dx : 1 + dx + 2 * w : 2]
+        acc += acc_t(c) * (t - lc)
     delta = (acc >> 6).astype(np.int32)
     out = chroma[y0 : y0 + h, x0 : x0 + w].astype(np.int32) + delta
-    return np.clip(out, 0, _smax(bit_depth))
-
-
-def ccalf_block_wide(chroma: np.ndarray, luma: np.ndarray, x0: int, y0: int,
-                     w: int, h: int, coeffs, bit_depth: int) -> np.ndarray:
-    """32-bit-accumulator oracle for the 8-bit path equivalence check."""
-    lh, lw = luma.shape
-    ly = np.minimum(2 * np.arange(y0, y0 + h), lh - 1)[:, None]
-    lx = np.minimum(2 * np.arange(x0, x0 + w), lw - 1)[None, :]
-    lc = luma[ly, lx].astype(np.int32)
-    acc = np.full((h, w), 32, dtype=np.int32)
-    for (dy, dx), c in zip(CCALF_OFFSETS, coeffs):
-        if c == 0:
-            continue
-        sy = np.clip(ly + dy, 0, lh - 1)
-        sx = np.clip(lx + dx, 0, lw - 1)
-        acc += int(c) * (luma[sy, sx].astype(np.int32) - lc)
-    out = chroma[y0 : y0 + h, x0 : x0 + w].astype(np.int32) + (acc >> 6)
     return np.clip(out, 0, _smax(bit_depth))
 
 

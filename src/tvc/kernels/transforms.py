@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -68,6 +69,13 @@ def gen_transform_matrix(kind: int, n: int) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=None)
+def _matrix_tuples(kind: int, n: int) -> tuple[tuple, tuple]:
+    """(rows, columns) of a transform matrix as tuples of Python ints."""
+    rows = tuple(tuple(r) for r in gen_transform_matrix(kind, n).tolist())
+    return rows, tuple(zip(*rows))
+
+
 # ---------------------------------------------------------------------------
 # dequant / quant
 
@@ -75,13 +83,9 @@ def gen_transform_matrix(kind: int, n: int) -> np.ndarray:
 def dequant_scalar(levels: np.ndarray, qp: int) -> np.ndarray:
     ls = DEQUANT_LS[qp % 6]
     sh = qp // 6
-    out = np.empty(levels.shape, dtype=np.int32)
-    flat_in = levels.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        d = (int(flat_in[i]) * ls << sh) >> 4
-        flat_out[i] = min(INT16_MAX, max(INT16_MIN, d))
-    return out
+    out = [min(INT16_MAX, max(INT16_MIN, (v * ls << sh) >> 4))
+           for v in levels.ravel().tolist()]
+    return np.array(out, dtype=np.int32).reshape(levels.shape)
 
 
 def dequant_vector(levels: np.ndarray, qp: int) -> np.ndarray:
@@ -120,26 +124,16 @@ def quant_vector(coeffs: np.ndarray, qp: int, is_intra: bool) -> np.ndarray:
 def inverse_transform_scalar(coeffs: np.ndarray, kind_h: int, kind_v: int,
                              bit_depth: int) -> np.ndarray:
     n = coeffs.shape[0]
-    tv = gen_transform_matrix(kind_v, n)
-    th = gen_transform_matrix(kind_h, n)
-    mid = [[0] * n for _ in range(n)]
-    for m in range(n):
-        for x in range(n):
-            acc = 64
-            for k in range(n):
-                acc += int(tv[k, m]) * int(coeffs[k, x])
-            v = acc >> INV_SHIFT1
-            mid[m][x] = min(INT16_MAX, max(INT16_MIN, v))
+    tv_cols = _matrix_tuples(kind_v, n)[1]
+    th_cols = _matrix_tuples(kind_h, n)[1]
+    c_cols = tuple(zip(*coeffs.tolist()))
+    # mid[m][x] = sum_k tv[k][m] * coeffs[k][x]
+    mid = [[min(INT16_MAX, max(INT16_MIN, (64 + sum(map(mul, tcol, ccol))) >> INV_SHIFT1))
+            for ccol in c_cols] for tcol in tv_cols]
     s2 = 20 - bit_depth
     rnd = 1 << (s2 - 1)
-    out = np.empty((n, n), dtype=np.int32)
-    for y in range(n):
-        for x in range(n):
-            acc = rnd
-            for k in range(n):
-                acc += mid[y][k] * int(th[k, x])
-            out[y, x] = acc >> s2
-    return out
+    out = [[(rnd + sum(map(mul, row, hcol))) >> s2 for hcol in th_cols] for row in mid]
+    return np.array(out, dtype=np.int32)
 
 
 def inverse_transform_vector(coeffs: np.ndarray, kind_h: int, kind_v: int,
@@ -156,26 +150,16 @@ def inverse_transform_vector(coeffs: np.ndarray, kind_h: int, kind_v: int,
 def forward_transform_scalar(resid: np.ndarray, kind_h: int, kind_v: int,
                              bit_depth: int) -> np.ndarray:
     n = resid.shape[0]
-    th = gen_transform_matrix(kind_h, n)
-    tv = gen_transform_matrix(kind_v, n)
-    mid = [[0] * n for _ in range(n)]
-    for y in range(n):
-        for k in range(n):
-            acc = 0
-            for m in range(n):
-                acc += int(resid[y, m]) * int(th[k, m])
-            mid[y][k] = acc
+    th_rows = _matrix_tuples(kind_h, n)[0]
+    tv_rows = _matrix_tuples(kind_v, n)[0]
+    # mid[y][k] = sum_m resid[y][m] * th[k][m]
+    mid = [[sum(map(mul, rrow, hrow)) for hrow in th_rows] for rrow in resid.tolist()]
+    mid_cols = tuple(zip(*mid))
     s2 = bit_depth - 1
     r2 = 1 << (s2 - 1)
-    out = np.empty((n, n), dtype=np.int16)
-    for k in range(n):
-        for l in range(n):
-            acc = r2
-            for y in range(n):
-                acc += int(tv[k, y]) * mid[y][l]
-            v = acc >> s2
-            out[k, l] = min(INT16_MAX, max(INT16_MIN, v))
-    return out
+    out = [[min(INT16_MAX, max(INT16_MIN, (r2 + sum(map(mul, vrow, mcol))) >> s2))
+            for mcol in mid_cols] for vrow in tv_rows]
+    return np.array(out, dtype=np.int16)
 
 
 def forward_transform_vector(resid: np.ndarray, kind_h: int, kind_v: int,

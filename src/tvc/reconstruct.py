@@ -397,47 +397,30 @@ def deblock_band(bufs: PictureBuffers, comp: str, meta: BoundaryMeta,
     Grid: 4 luma samples for luma, 8 luma samples (4 chroma) for chroma.
     """
     plane = bufs.get(comp, "dblk")
-    h, w = plane.shape
+    w = plane.shape[1]
     scale = 1 if comp == "y" else 2
     grid = 4              # in plane samples; chroma grid 4 = luma grid 8
-    qp = pic.qp
-    bd = pic.bit_depth
 
-    # vertical edges: x on grid, all rows in band
+    # vertical edges: x on grid, all rows in band; (edge, row) cells, x-major
     ys = np.arange(y_start, y_end, dtype=np.intp)
-    cell_r = (ys * scale) // 4 - meta.row_off
-    xs_list, ys_list, bs_list = [], [], []
-    for x in range(grid, w, grid):
-        lx = x * scale
-        bs = _edge_bs(meta, cell_r, np.full_like(cell_r, lx // 4 - 1),
-                      cell_r, np.full_like(cell_r, lx // 4))
-        nz = bs.nonzero()[0]
-        if nz.size:
-            ys_list.append(ys[nz])
-            xs_list.append(np.full(nz.size, x, dtype=np.intp))
-            bs_list.append(bs[nz])
-    if xs_list:
-        kset.deblock_edge(plane, np.concatenate(ys_list), np.concatenate(xs_list),
-                          np.concatenate(bs_list), qp, True, bd)
+    ex = np.arange(grid, w, grid, dtype=np.intp)
+    cell_r = ((ys * scale) // 4 - meta.row_off)[None, :]
+    cell_c = ((ex * scale) // 4)[:, None]
+    bs = _edge_bs(meta, cell_r, cell_c - 1, cell_r, cell_c)
+    ei, yi = bs.nonzero()
+    if ei.size:
+        kset.deblock_edge(plane, ys[yi], ex[ei], bs[ei, yi], pic.qp, True, pic.bit_depth)
 
-    # horizontal edges: y0 on grid within the band (y0 = 0 excluded)
+    # horizontal edges: y0 on grid within the band (y0 = 0 excluded); y-major
     xs = np.arange(0, w, dtype=np.intp)
-    cell_c = (xs * scale) // 4
-    xs_list, ys_list, bs_list = [], [], []
-    y0_first = max(grid, (y_start + grid - 1) // grid * grid)
-    for y0 in range(y0_first, y_end, grid):
-        ly = y0 * scale
-        ra = np.full_like(cell_c, ly // 4 - 1 - meta.row_off)
-        rb = np.full_like(cell_c, ly // 4 - meta.row_off)
-        bs = _edge_bs(meta, ra, cell_c, rb, cell_c)
-        nz = bs.nonzero()[0]
-        if nz.size:
-            xs_list.append(xs[nz])
-            ys_list.append(np.full(nz.size, y0, dtype=np.intp))
-            bs_list.append(bs[nz])
-    if xs_list:
-        kset.deblock_edge(plane, np.concatenate(ys_list), np.concatenate(xs_list),
-                          np.concatenate(bs_list), qp, False, bd)
+    ey = np.arange(max(grid, (y_start + grid - 1) // grid * grid), y_end, grid,
+                   dtype=np.intp)
+    cell_r = ((ey * scale) // 4 - meta.row_off)[:, None]
+    cell_c = ((xs * scale) // 4)[None, :]
+    bs = _edge_bs(meta, cell_r - 1, cell_c, cell_r, cell_c)
+    ei, xi = bs.nonzero()
+    if ei.size:
+        kset.deblock_edge(plane, ey[ei], xs[xi], bs[ei, xi], pic.qp, False, pic.bit_depth)
 
 
 # ---------------------------------------------------------------------------

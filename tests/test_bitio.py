@@ -78,6 +78,20 @@ def test_context_bounds_under_any_sequence():
     assert 1 <= ctx.p <= 4095
 
 
+def test_coder_adaptation_follows_update_rule():
+    rng = random.Random(8)
+    bits = [0 if rng.random() < 0.9 else 1 for _ in range(3000)]
+    enc, ectx, shadow, seen = RangeEncoder(), ProbContext(), ProbContext(), []
+    for b in bits:
+        enc.encode_bit(ectx, b)
+        shadow.update(b)
+        assert ectx.p == shadow.p
+        seen.append(shadow.p)
+    dec, dctx = RangeDecoder(enc.flush()), ProbContext()
+    for b, p in zip(bits, seen):
+        assert dec.decode_bit(dctx) == b and dctx.p == p
+
+
 def test_roundtrip_small_sequence_one_context():
     enc = RangeEncoder()
     ctx = ProbContext()

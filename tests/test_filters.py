@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 from tvc.kernels import filters as fl
+from tvc.reconstruct import BoundaryMeta, _edge_bs, deblock_band
+from tvc.syntax import PicParams
 
 
 def test_deblock_flat_region_unchanged():
@@ -66,6 +68,125 @@ def test_deblock_scalar_vector_equal_random():
         fl.deblock_edge_scalar(a, *args)
         fl.deblock_edge_vector(b, *args)
         assert (a == b).all()
+
+
+# ---------------------------------------------------------------------------
+# deblock_band boundary strengths
+
+
+def deblock_band_per_column(bufs, comp, meta, pic, y_start, y_end, kset):
+    """Reference: one boundary-strength derivation per edge column or row."""
+    plane = bufs.get(comp, "dblk")
+    h, w = plane.shape
+    scale = 1 if comp == "y" else 2
+    grid = 4
+    ys = np.arange(y_start, y_end, dtype=np.intp)
+    cell_r = (ys * scale) // 4 - meta.row_off
+    xs_list, ys_list, bs_list = [], [], []
+    for x in range(grid, w, grid):
+        lx = x * scale
+        bs = _edge_bs(meta, cell_r, np.full_like(cell_r, lx // 4 - 1),
+                      cell_r, np.full_like(cell_r, lx // 4))
+        nz = bs.nonzero()[0]
+        if nz.size:
+            ys_list.append(ys[nz])
+            xs_list.append(np.full(nz.size, x, dtype=np.intp))
+            bs_list.append(bs[nz])
+    if xs_list:
+        kset.deblock_edge(plane, np.concatenate(ys_list), np.concatenate(xs_list),
+                          np.concatenate(bs_list), pic.qp, True, pic.bit_depth)
+    xs = np.arange(0, w, dtype=np.intp)
+    cell_c = (xs * scale) // 4
+    xs_list, ys_list, bs_list = [], [], []
+    y0_first = max(grid, (y_start + grid - 1) // grid * grid)
+    for y0 in range(y0_first, y_end, grid):
+        ly = y0 * scale
+        ra = np.full_like(cell_c, ly // 4 - 1 - meta.row_off)
+        rb = np.full_like(cell_c, ly // 4 - meta.row_off)
+        bs = _edge_bs(meta, ra, cell_c, rb, cell_c)
+        nz = bs.nonzero()[0]
+        if nz.size:
+            xs_list.append(xs[nz])
+            ys_list.append(np.full(nz.size, y0, dtype=np.intp))
+            bs_list.append(bs[nz])
+    if xs_list:
+        kset.deblock_edge(plane, np.concatenate(ys_list), np.concatenate(xs_list),
+                          np.concatenate(bs_list), pic.qp, False, pic.bit_depth)
+
+
+class _RecordingKernels:
+    """Runs the vector deblocking kernel and records every call's edge lists."""
+
+    def __init__(self):
+        self.calls = []
+
+    def deblock_edge(self, plane, ys, xs, bs, qp, vertical, bd):
+        self.calls.append((ys.copy(), xs.copy(), bs.copy(), vertical))
+        fl.deblock_edge_vector(plane, ys, xs, bs, qp, vertical, bd)
+
+
+class _Planes:
+    def __init__(self, planes):
+        self.planes = planes
+
+    def get(self, comp, stage):
+        return self.planes[comp]
+
+
+def _random_meta(rng, h, w):
+    """4x4-cell metadata of 16x16 regions split at random into 8x8 CUs."""
+    rows, cols = h // 4, w // 4
+    meta = BoundaryMeta(
+        cu_id=np.zeros((rows, cols), dtype=np.int32),
+        intra_like=np.zeros((rows, cols), dtype=np.int8),
+        cbf_any=np.zeros((rows, cols), dtype=np.int8),
+        mvx=np.zeros((rows, cols), dtype=np.int16),
+        mvy=np.zeros((rows, cols), dtype=np.int16),
+    )
+    cu = 0
+    for r in range(0, rows, 4):
+        for c in range(0, cols, 4):
+            step = rng.choice((2, 4))
+            for rr in range(r, min(r + 4, rows), step):
+                for cc in range(c, min(c + 4, cols), step):
+                    sl = np.s_[rr : rr + step, cc : cc + step]
+                    meta.cu_id[sl] = cu
+                    meta.intra_like[sl] = rng.random() < 0.3
+                    meta.cbf_any[sl] = rng.random() < 0.4
+                    meta.mvx[sl] = rng.choice((-8, -4, 0, 0, 3, 4, 8))
+                    meta.mvy[sl] = rng.choice((-4, 0, 0, 2, 4))
+                    cu += 1
+    return meta
+
+
+def test_deblock_band_matches_per_column_oracle():
+    rng = random.Random(13)
+    nprng = np.random.default_rng(13)
+    h, w, cs = 88, 72, 32
+    for bd, dtype in ((8, np.uint8), (10, np.uint16)):
+        pic = PicParams(width=w, height=h, ctu_size=cs, bit_depth=bd,
+                        chroma_format=1, tool_flags=0, pic_type=1, qp=42,
+                        max_mv_y=0)
+        meta = _random_meta(rng, h, w)
+        for comp, scale in (("y", 1), ("u", 2)):
+            base = (nprng.integers(0, 24, size=(h // scale, w // scale))
+                    + (1 << (bd - 1))).astype(dtype)
+            got, want = base.copy(), base.copy()
+            k_got, k_want = _RecordingKernels(), _RecordingKernels()
+            for row in range(-(-h // cs)):
+                band = meta.rows_slice(row * cs // 4 - 2, (row + 1) * cs // 4 + 2)
+                assert band.row_off == max(0, row * cs // 4 - 2)
+                y0, y1 = row * cs // scale, -(-min((row + 1) * cs, h) // scale)
+                deblock_band(_Planes({comp: got}), comp, band, pic, y0, y1, k_got)
+                deblock_band_per_column(_Planes({comp: want}), comp, band, pic,
+                                        y0, y1, k_want)
+            assert len(k_got.calls) == len(k_want.calls) > 0
+            for a, b in zip(k_got.calls, k_want.calls):
+                assert a[3] == b[3]
+                for x, y in zip(a[:3], b[:3]):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert {2, 1} <= set(np.concatenate([c[2] for c in k_got.calls]).tolist())
+            assert np.array_equal(got, want) and not np.array_equal(got, base)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +312,23 @@ def test_ccalf_constant_luma_identity():
     assert (out == chroma).all()  # all luma differences are zero
 
 
+def ccalf_block_wide(chroma, luma, x0, y0, w, h, coeffs, bit_depth):
+    """32-bit-accumulator oracle for the 8-bit path's 16-bit accumulator."""
+    lh, lw = luma.shape
+    ly = np.minimum(2 * np.arange(y0, y0 + h), lh - 1)[:, None]
+    lx = np.minimum(2 * np.arange(x0, x0 + w), lw - 1)[None, :]
+    lc = luma[ly, lx].astype(np.int32)
+    acc = np.full((h, w), 32, dtype=np.int32)
+    for (dy, dx), c in zip(fl.CCALF_OFFSETS, coeffs):
+        if c == 0:
+            continue
+        sy = np.clip(ly + dy, 0, lh - 1)
+        sx = np.clip(lx + dx, 0, lw - 1)
+        acc += int(c) * (luma[sy, sx].astype(np.int32) - lc)
+    out = chroma[y0 : y0 + h, x0 : x0 + w].astype(np.int32) + (acc >> 6)
+    return np.clip(out, 0, (1 << bit_depth) - 1)
+
+
 def test_ccalf_narrow_accumulator_matches_wide_oracle():
     rng = random.Random(10)
     nprng = np.random.default_rng(10)
@@ -199,9 +337,53 @@ def test_ccalf_narrow_accumulator_matches_wide_oracle():
         chroma = nprng.integers(0, 256, size=(18, 18)).astype(np.uint8)
         coeffs = tuple(rng.randint(-16, 16) for _ in range(8))
         narrow = fl.ccalf_block_vector(chroma, luma, 1, 1, 16, 16, coeffs, 8)
-        wide = fl.ccalf_block_wide(chroma, luma, 1, 1, 16, 16, coeffs, 8)
+        wide = ccalf_block_wide(chroma, luma, 1, 1, 16, 16, coeffs, 8)
         scalar = fl.ccalf_block_scalar(chroma, luma, 1, 1, 16, 16, coeffs, 8)
         assert (narrow == wide).all() and (scalar == wide).all()
+
+
+# ---------------------------------------------------------------------------
+# plane-edge regions (clamped windows)
+
+
+def _edge_regions(ph, pw, h, w):
+    """Regions of h x w at every corner and edge of a ph x pw plane, and inside."""
+    for y0 in (0, (ph - h) // 2, ph - h):
+        for x0 in (0, (pw - w) // 2, pw - w):
+            yield x0, y0, w, h
+    yield 0, 0, pw, ph
+
+
+def test_window_kernels_match_scalar_at_plane_edges():
+    rng = random.Random(14)
+    nprng = np.random.default_rng(14)
+    for bd, dtype in ((8, np.uint8), (10, np.uint16)):
+        for ph, pw in ((13, 17), (10, 9)):
+            src = nprng.integers(0, 1 << bd, size=(ph, pw)).astype(dtype)
+            for h, w in ((5, 7), (1, 3), (4, 1)):
+                for x0, y0, rw, rh in _edge_regions(ph, pw, h, w):
+                    region = (x0, y0, rw, rh)
+                    offs = tuple(rng.randint(-31, 31) for _ in range(4))
+                    for eo in range(4):
+                        args = (src, *region, fl.SAO_EDGE, 0, eo, offs, bd)
+                        assert np.array_equal(fl.sao_block_vector(*args),
+                                              fl.sao_block_scalar(*args)), (args[1:5], eo)
+                    pairs = tuple(rng.randint(-64, 64) for _ in range(6))
+                    args = (src, *region, pairs, bd)
+                    assert np.array_equal(fl.alf_block_vector(*args),
+                                          fl.alf_block_scalar(*args)), region
+        # chroma on luma planes of even size and of odd sizes that clamp the
+        # collocated sample (2y, 2x) itself
+        ch, cw = 9, 11
+        chroma = nprng.integers(0, 1 << bd, size=(ch, cw)).astype(dtype)
+        for lh, lw in ((2 * ch, 2 * cw), (2 * ch - 1, 2 * cw - 1), (2 * ch - 3, 2 * cw)):
+            luma = nprng.integers(0, 1 << bd, size=(lh, lw)).astype(dtype)
+            for h, w in ((4, 5), (1, 3)):
+                for region in _edge_regions(ch, cw, h, w):
+                    coeffs = tuple(rng.randint(-16, 16) for _ in range(8))
+                    args = (chroma, luma, *region, coeffs, bd)
+                    assert np.array_equal(fl.ccalf_block_vector(*args),
+                                          fl.ccalf_block_scalar(*args)), (lh, lw, region)
 
 
 # ---------------------------------------------------------------------------
