@@ -17,7 +17,7 @@ import numpy as np
 
 from . import kernels as K
 from .pipeline import Decoder, DecoderConfig
-from .bitio import parse_sequence_header, read_picture_unit
+from .bitio import split_container
 
 CSV_COLUMNS = ("kind", "name", "path", "workers", "scalar_ns", "vector_ns",
                "speedup", "fps", "percent")
@@ -101,12 +101,7 @@ def bench_kernels(names=None, iters: int = 5, bit_depths=(8, 10),
 
 def decode_fps(data: bytes, config: DecoderConfig) -> float:
     """Frames per second over feed->drain, pool startup excluded."""
-    seq = parse_sequence_header(data[:18])
-    units = []
-    offset = 18
-    for _ in range(seq.frame_count):
-        unit, offset = read_picture_unit(data, offset)
-        units.append(unit)
+    seq, units = split_container(data)
     with Decoder(seq, config) as dec:
         t0 = time.perf_counter()
         for unit in units:
@@ -137,12 +132,7 @@ def bench_decode(data: bytes, stream_name: str, workers_list,
 
 
 def bench_stages(data: bytes, workers: int = 1, simd: bool = True) -> list[StageRow]:
-    seq = parse_sequence_header(data[:18])
-    units = []
-    offset = 18
-    for _ in range(seq.frame_count):
-        unit, offset = read_picture_unit(data, offset)
-        units.append(unit)
+    seq, units = split_container(data)
     with Decoder(seq, DecoderConfig(workers=workers, simd=simd, profiling=True)) as dec:
         for unit in units:
             dec.feed(unit)

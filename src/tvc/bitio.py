@@ -433,3 +433,13 @@ def read_picture_unit(data: bytes, offset: int) -> tuple[bytes, int]:
             f"picture unit of {size} bytes exceeds remaining file"
         )
     return data[offset + 4 : end], end
+
+
+def split_container(data: bytes) -> tuple[SequenceHeader, list[bytes]]:
+    """Split a .tvc container into its sequence header and picture unit bodies."""
+    seq = parse_sequence_header(data[:SEQ_HEADER_SIZE])
+    units, offset = [], SEQ_HEADER_SIZE
+    for _ in range(seq.frame_count):
+        unit, offset = read_picture_unit(data, offset)
+        units.append(unit)
+    return seq, units

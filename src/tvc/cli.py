@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from . import bitio, y4m
-from .bitio import FormatError, TOOL_NAMES, parse_sequence_header, read_picture_unit
+from . import y4m
+from .bitio import FormatError, TOOL_NAMES, split_container
 from .encoder import Encoder, EncoderConfig
 from .hashes import format_hash_lines, frame_md5, sequence_md5
 from .pipeline import Decoder, DecoderConfig
@@ -72,12 +72,7 @@ def main_dec(argv=None) -> int:
         return EXIT_IO
 
     try:
-        seq = parse_sequence_header(data[:bitio.SEQ_HEADER_SIZE])
-        units = []
-        offset = bitio.SEQ_HEADER_SIZE
-        for _ in range(seq.frame_count):
-            unit, offset = read_picture_unit(data, offset)
-            units.append(unit)
+        seq, units = split_container(data)
         config = DecoderConfig(
             workers=args.threads, simd=args.simd != "off",
             subctu=not args.no_subctu, profiling=args.profile,

@@ -4,7 +4,6 @@ from .decoder import (
     DecoderConfig,
     Frame,
     decode_container,
-    open_decoder,
 )
 from .jobs import Job, build_job_graph, gate_rows, wavefront_deps
 
@@ -17,6 +16,5 @@ __all__ = [
     "build_job_graph",
     "decode_container",
     "gate_rows",
-    "open_decoder",
     "wavefront_deps",
 ]

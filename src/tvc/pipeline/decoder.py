@@ -1,12 +1,14 @@
 """Decoder engine: DPB slots, picture admission, worker pool, frame output.
 
-Two executor backends share all scheduling logic:
+Two executor backends share all scheduling logic and all job code: each
+job becomes one message (``_job_message``) that ``exec.run_job`` executes.
 
-* inline (workers=1): jobs run serially on the caller's thread — the
+* inline (workers=1): the caller's thread runs jobs serially — the
   reference execution the determinism suite compares everything against;
 * process pool (workers >= 2): a dispatch thread owns the scheduler and
-  dependency counters; worker processes execute jobs against sample planes
-  living in one shared-memory arena and post completions back.
+  dependency counters and queues the messages; forked worker processes run
+  them against sample planes living in one shared-memory arena and post
+  completions back.
 """
 from __future__ import annotations
 
@@ -22,15 +24,13 @@ from ..bitio import (
     SequenceHeader,
     TOOL_LMCS,
     parse_picture_header,
-    read_picture_unit,
-    write_sequence_header,
+    split_container,
 )
 from ..kernels import KernelSet
-from ..kernels.filters import lmcs_build_inverse
 from ..reconstruct import FilterContext, PictureBuffers, Profile
 from ..syntax import MODE_INTER, PicParams
 from . import exec as ex
-from .jobs import assert_acyclic, build_job_graph, gate_rows
+from .jobs import build_job_graph, gate_rows
 from .scheduler import Scheduler
 
 
@@ -48,7 +48,6 @@ class DecoderConfig:
     subctu: bool = True
     profiling: bool = False
     wide: bool = False             # test-only: 8-bit stream on the 16-bit path
-    debug_checks: bool = False
 
     def validate(self) -> None:
         if not (1 <= self.workers <= 1024):
@@ -79,9 +78,7 @@ class _Picture:
     lmcs_counts: list | None = None
     jobs: dict = field(default_factory=dict)
     recon_remaining: int = 0
-    finalized_rows: int = 0
     output_done: bool = False
-    delivered: bool = False
     frame: Frame | None = None
     slot_released: bool = False
 
@@ -104,7 +101,6 @@ class Decoder:
         config.validate()
         self.seq = seq
         self.config = config
-        self.kset = KernelSet(simd=config.simd)
         self.sched = Scheduler()
         self.profile = Profile()
         self.pics: dict[int, _Picture] = {}
@@ -114,26 +110,31 @@ class Decoder:
         self.eos = False
         self.error: DecodeError | None = None
         self.closed = False
-        self.stats = {"mcpre_jobs": 0, "jobs_run": 0}
+        self.stats = {"mcpre_jobs": 0}
         self._grid_rows = (seq.height + seq.ctu_size - 1) // seq.ctu_size
         self._grid_cols = (seq.width + seq.ctu_size - 1) // seq.ctu_size
 
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         n_slots = config.max_inflight + 2
         self._free_slots = deque(range(n_slots))
         self._multiproc = config.workers >= 2
         if self._multiproc:
-            self._slot_bytes = PictureBuffers.required_bytes(seq, config.wide)
+            # slot planes live in one shared arena; the forked workers
+            # inherit self._env and with it views of the same memory
             mp_ctx = mp.get_context("fork")
-            self._arena = mp_ctx.RawArray("B", n_slots * self._slot_bytes)
+            slot_bytes = PictureBuffers.required_bytes(seq, config.wide)
+            self._arena = mp_ctx.RawArray("B", n_slots * slot_bytes)
             arena_view = np.frombuffer(self._arena, dtype=np.uint8)
-            self._slot_bufs = [
-                PictureBuffers(
-                    seq, wide=config.wide,
-                    backing=arena_view[i * self._slot_bytes : (i + 1) * self._slot_bytes],
-                    clear=False,
-                )
+            bufs = [
+                PictureBuffers(seq, wide=config.wide, clear=False,
+                               backing=arena_view[i * slot_bytes : (i + 1) * slot_bytes])
                 for i in range(n_slots)
             ]
+        else:
+            bufs = [PictureBuffers(seq, wide=config.wide) for _ in range(n_slots)]
+        self._env = ex.JobEnv(KernelSet(simd=config.simd), bufs)
+        if self._multiproc:
             # mp.Queue buffers through a feeder thread, so put() never blocks
             # on a full pipe; a SimpleQueue here deadlocks master against
             # workers once parse-result pickles exceed the pipe capacity
@@ -141,24 +142,15 @@ class Decoder:
             self._result_q = mp_ctx.Queue()
             from .worker import worker_main
             self._workers = [
-                mp_ctx.Process(
-                    target=worker_main,
-                    args=(self._arena, self._slot_bytes, write_sequence_header(seq),
-                          config.simd, config.wide, self._task_q, self._result_q),
-                    daemon=True,
-                )
+                mp_ctx.Process(target=worker_main,
+                               args=(self._env, self._task_q, self._result_q),
+                               daemon=True)
                 for _ in range(config.workers)
             ]
             for w in self._workers:
                 w.start()
-            self._lock = threading.Lock()
-            self._cond = threading.Condition(self._lock)
             self._dispatch_thread = threading.Thread(target=self._dispatch_loop, daemon=True)
             self._dispatch_thread.start()
-        else:
-            self._slot_bufs = [None] * n_slots   # allocated lazily, plain arrays
-            self._lock = threading.Lock()
-            self._cond = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------ feed
 
@@ -194,20 +186,12 @@ class Decoder:
             pic = _Picture(pic_id=pic_id, header=header, params=params, payload=payload)
             pic.lmcs_counts = header.lmcs_counts if self.seq.has_tool(TOOL_LMCS) else None
             pic.slot = self._free_slots.popleft()
-            if self._multiproc:
-                self._slot_bufs[pic.slot].clear()
-            else:
-                if self._slot_bufs[pic.slot] is None:
-                    self._slot_bufs[pic.slot] = PictureBuffers(self.seq, wide=self.config.wide)
-                else:
-                    self._slot_bufs[pic.slot].clear()
+            self._env.bufs[pic.slot].clear()
             ref = pic_id - 1 if params.pic_type == 1 else None
             pic.jobs = build_job_graph(
                 pic_id, params.pic_type, self._grid_rows, self._grid_cols,
                 self.seq.ctu_size, self.seq.height, self.seq.max_mv_y, ref,
             )
-            if self.config.debug_checks:
-                assert_acyclic(pic.jobs)
             pic.recon_remaining = self._grid_rows * self._grid_cols
             self.pics[pic_id] = pic
             self.sched.add_jobs(pic.jobs)
@@ -233,9 +217,8 @@ class Decoder:
         if kind == "mcpre":
             _, pid, r, c, i = key
             ctu = pic.ctus[r * self._grid_cols + c]
-            inter_cus = [cu for cu in ctu.cus if cu.mode == MODE_INTER]
             return (key, pic.slot, self.pics[pid - 1].slot, pic.params,
-                    inter_cus[i], self.config.profiling)
+                    ctu.cus[i], self.config.profiling)
         if kind == "filter":
             _, pid, row = key
             return (key, pic.slot, row, pic.params, pic.fctx.slice_for_row(row),
@@ -251,10 +234,9 @@ class Decoder:
             if key is None:
                 return
             if key[0] == "output":
-                self.sched.complete(key)      # before slot release drops the job
-                self._finish_output(key[1])
-                continue
-            self._task_q.put(self._job_message(key))
+                self._finish_output(key)
+            else:
+                self._task_q.put(self._job_message(key))
 
     def _dispatch_loop(self) -> None:
         while True:
@@ -300,13 +282,13 @@ class Decoder:
             pic.recon_remaining -= 1
             if payload:
                 self.profile.merge(payload)
-            self._maybe_release_ref_slot(pic)
+            if pic.recon_remaining == 0:
+                self._maybe_release_slot(pic.pic_id - 1)
         elif kind == "mcpre":
             if payload:
                 self.profile.merge(payload)
         elif kind == "filter":
             finalized, times = payload
-            pic.finalized_rows = finalized
             if times:
                 self.profile.merge(times)
             self.sched.advance_finalized(pic.pic_id, finalized)
@@ -314,24 +296,28 @@ class Decoder:
         self._cond.notify_all()
 
     def _spawn_prefetch(self, pic: _Picture) -> None:
-        """One MC job per inter CU; recon consumes the staged predictions."""
+        """One MC job per inter CU, keyed by its index in ``ctu.cus``;
+        recon consumes the staged predictions."""
         for r in range(self._grid_rows):
             for c in range(self._grid_cols):
                 ctu = pic.ctus[r * self._grid_cols + c]
-                n_inter = sum(1 for cu in ctu.cus if cu.mode == MODE_INTER)
                 gate = (pic.pic_id - 1,
                         gate_rows(r, self.seq.ctu_size, self.seq.height,
                                   self.seq.max_mv_y))
-                for i in range(n_inter):
+                for i, cu in enumerate(ctu.cus):
+                    if cu.mode != MODE_INTER:
+                        continue
                     self.stats["mcpre_jobs"] += 1
                     self.sched.add_prefetch(
                         ("mcpre", pic.pic_id, r, c, i), gate,
                         ("recon", pic.pic_id, r, c),
                     )
 
-    def _finish_output(self, pic_id: int) -> None:
+    def _finish_output(self, key: tuple) -> None:
+        self.sched.complete(key)          # before slot release drops the job
+        pic_id = key[1]
         pic = self.pics[pic_id]
-        bufs = self._slot_bufs[pic.slot]
+        bufs = self._env.bufs[pic.slot]
         planes = [bufs.get(comp, "final").copy() for comp in bufs.comp_names()]
         pic.frame = Frame(
             poc=pic.header.poc, width=self.seq.width, height=self.seq.height,
@@ -343,10 +329,6 @@ class Decoder:
         self._maybe_release_slot(pic_id)
         self._maybe_release_slot(pic_id - 1)
         self._cond.notify_all()
-
-    def _maybe_release_ref_slot(self, pic: _Picture) -> None:
-        if pic.recon_remaining == 0:
-            self._maybe_release_slot(pic.pic_id - 1)
 
     def _maybe_release_slot(self, pic_id: int) -> None:
         """Free a picture's plane slot once output and no longer referenced."""
@@ -375,46 +357,6 @@ class Decoder:
 
     # -------------------------------------------------------------- inline
 
-    def _run_inline_job(self, key: tuple) -> None:
-        kind = key[0]
-        pic = self.pics[key[1]]
-        bufs = self._slot_bufs[pic.slot]
-        if kind == "parse":
-            payload = ex.parse_picture_payload(pic.payload, pic.params)
-        elif kind == "recon":
-            _, pid, r, c = key
-            ctu = pic.ctus[r * self._grid_cols + c]
-            ref = self._slot_bufs[self.pics[pid - 1].slot] if pic.params.pic_type == 1 else None
-            lut = self._inline_lut(pic)
-            staged = (self.config.subctu and pic.params.pic_type == 1
-                      and any(cu.mode == MODE_INTER for cu in ctu.cus))
-            payload = ex.run_recon(ctu, pic.params, bufs, ref, self.kset, lut,
-                                   staged, self.config.profiling)
-        elif kind == "mcpre":
-            _, pid, r, c, i = key
-            ctu = pic.ctus[r * self._grid_cols + c]
-            inter_cus = [cu for cu in ctu.cus if cu.mode == MODE_INTER]
-            ref = self._slot_bufs[self.pics[pid - 1].slot]
-            payload = ex.run_mcpre(inter_cus[i], pic.params, bufs, ref,
-                                   self.kset, self.config.profiling)
-        elif kind == "filter":
-            payload = ex.run_filter(key[2], pic.params, bufs, pic.fctx,
-                                    self.kset, self.config.profiling)
-        elif kind == "output":
-            self.sched.complete(key)          # before slot release drops the job
-            self._finish_output(key[1])
-            return
-        else:
-            raise ValueError(kind)
-        self._handle_done(key, payload)
-
-    def _inline_lut(self, pic: _Picture):
-        if pic.lmcs_counts is None:
-            return None
-        if not hasattr(pic, "_lut"):
-            pic._lut = lmcs_build_inverse(pic.lmcs_counts, self.seq.bit_depth)
-        return pic._lut
-
     def _pump_inline(self) -> None:
         if self._multiproc:
             return
@@ -423,7 +365,10 @@ class Decoder:
             if key is None:
                 return
             try:
-                self._run_inline_job(key)
+                if key[0] == "output":
+                    self._finish_output(key)
+                else:
+                    self._handle_done(key, ex.run_job(self._job_message(key), self._env))
             except Exception as e:
                 self._fail(key[1], f"{type(e).__name__}: {e}")
                 raise
@@ -450,7 +395,6 @@ class Decoder:
             pic = self.pics[pic_id]
             frame = pic.frame
             pic.frame = None
-            pic.delivered = True
             self.next_out_id += 1
             self._admit_pending()
             self._push_ready()
@@ -488,23 +432,12 @@ class Decoder:
         self.close()
 
 
-def open_decoder(seq: SequenceHeader, config: DecoderConfig | None = None) -> Decoder:
-    return Decoder(seq, config)
-
-
 def decode_container(data: bytes, config: DecoderConfig | None = None):
     """Iterate decoded frames of a whole .tvc container byte string."""
-    from ..bitio import parse_sequence_header
-
-    seq = parse_sequence_header(data[:18])
-    offset = 18
+    seq, units = split_container(data)
     with Decoder(seq, config) as dec:
-        remaining = seq.frame_count
-        fed = 0
-        while fed < remaining:
-            unit, offset = read_picture_unit(data, offset)
+        for unit in units:
             dec.feed(unit)
-            fed += 1
         dec.end_of_stream()
         while True:
             frame = dec.next_frame()

@@ -1,7 +1,8 @@
 """Job graph construction: kinds, wavefront dependencies, counter gates.
 
 Job keys are tuples: ("parse", pic), ("recon", pic, r, c),
-("mcpre", pic, r, c, i), ("filter", pic, r), ("output", pic).
+("mcpre", pic, r, c, i) with i the inter CU's index in the CTU's ``cus``,
+("filter", pic, r), ("output", pic).
 """
 from __future__ import annotations
 
@@ -74,7 +75,7 @@ def build_job_graph(pic_id: int, pic_type: int, rows: int, cols: int,
 
 
 def assert_acyclic(jobs: dict[tuple, Job]) -> None:
-    """Debug check: the dependency graph admits a topological order."""
+    """The dependency graph admits a topological order."""
     indeg = {k: j.dep_count for k, j in jobs.items()}
     queue = [k for k, d in indeg.items() if d == 0]
     seen = 0

@@ -1,79 +1,26 @@
 """Worker-process main loop for the process-backed worker pool.
 
-Workers attach to the shared plane arena, execute jobs from the FIFO task
-queue, and post completions.  They hold no authoritative state: dependency
-bookkeeping lives with the master's dispatch thread.
+Workers are forked from the decoder, so they inherit its ``JobEnv``: the
+kernel set and the slot planes, which are views of the shared arena.  They
+execute jobs from the FIFO task queue and post completions.  They hold no
+authoritative state: dependency bookkeeping lives with the master's
+dispatch thread.
 """
 from __future__ import annotations
 
 import traceback
 
-import numpy as np
-
-from ..bitio import parse_sequence_header
-from ..kernels import KernelSet
-from ..kernels.filters import lmcs_build_inverse
-from ..reconstruct import PictureBuffers
-from . import exec as ex
+from .exec import JobEnv, run_job
 
 
-def _attach_bufs(cache, arena_view, slot, slot_bytes, seq, wide):
-    bufs = cache.get(slot)
-    if bufs is None:
-        backing = arena_view[slot * slot_bytes : (slot + 1) * slot_bytes]
-        bufs = PictureBuffers(seq, wide=wide, backing=backing, clear=False)
-        cache[slot] = bufs
-    return bufs
-
-
-def worker_main(arena, slot_bytes, seq_bytes, simd, wide, task_q, result_q):
-    seq = parse_sequence_header(seq_bytes)
-    kset = KernelSet(simd=simd)
-    arena_view = np.frombuffer(arena, dtype=np.uint8)
-    bufs_cache: dict[int, PictureBuffers] = {}
-    lut_cache: dict[int, np.ndarray | None] = {}
-
+def worker_main(env: JobEnv, task_q, result_q) -> None:
     while True:
         msg = task_q.get()
         if msg is None:
-            break
+            return
         key = msg[0]
         try:
-            kind = key[0]
-            if kind == "parse":
-                _, payload, params = msg
-                ctus, secs = ex.parse_picture_payload(payload, params)
-                result_q.put(("done", key, (ctus, secs)))
-            elif kind == "recon":
-                _, slot, ref_slot, params, ctu, lut_counts, staged, prof = msg
-                pic_id = key[1]
-                if pic_id not in lut_cache:
-                    if len(lut_cache) > 16:
-                        lut_cache.clear()
-                    lut_cache[pic_id] = (
-                        lmcs_build_inverse(lut_counts, params.bit_depth)
-                        if lut_counts is not None else None
-                    )
-                bufs = _attach_bufs(bufs_cache, arena_view, slot, slot_bytes, seq, wide)
-                ref = (
-                    _attach_bufs(bufs_cache, arena_view, ref_slot, slot_bytes, seq, wide)
-                    if ref_slot is not None else None
-                )
-                times = ex.run_recon(ctu, params, bufs, ref, kset,
-                                     lut_cache[pic_id], staged, prof)
-                result_q.put(("done", key, times))
-            elif kind == "mcpre":
-                _, slot, ref_slot, params, cu, prof = msg
-                bufs = _attach_bufs(bufs_cache, arena_view, slot, slot_bytes, seq, wide)
-                ref = _attach_bufs(bufs_cache, arena_view, ref_slot, slot_bytes, seq, wide)
-                times = ex.run_mcpre(cu, params, bufs, ref, kset, prof)
-                result_q.put(("done", key, times))
-            elif kind == "filter":
-                _, slot, row, params, fctx, prof = msg
-                bufs = _attach_bufs(bufs_cache, arena_view, slot, slot_bytes, seq, wide)
-                finalized, times = ex.run_filter(row, params, bufs, fctx, kset, prof)
-                result_q.put(("done", key, (finalized, times)))
-            else:
-                raise ValueError(f"unknown job kind {kind}")
+            result = ("done", key, run_job(msg, env))
         except Exception:
-            result_q.put(("error", key, traceback.format_exc()))
+            result = ("error", key, traceback.format_exc())
+        result_q.put(result)

@@ -1,4 +1,7 @@
 """Pipeline tests: job graph, scheduler, gates, determinism, filter bands."""
+import random
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from tvc.kernels.filters import (
     sao_block_scalar,
 )
 from tvc.pipeline import (
+    DecodeError,
     Decoder,
     DecoderConfig,
     build_job_graph,
@@ -215,6 +219,18 @@ def test_worker_counts_produce_identical_hashes(corpus_cache):
         assert digests == base, f"workers={workers}"
 
 
+def drain(data, config):
+    """Decode a whole container; return the closed decoder."""
+    seq, units = bitio.split_container(data)
+    with Decoder(seq, config) as dec:
+        for unit in units:
+            dec.feed(unit)
+        dec.end_of_stream()
+        while dec.next_frame(timeout=60) is not None:
+            pass
+    return dec
+
+
 def test_subctu_modes_equal_and_spawn_counts(corpus_cache):
     blob, _ = corpus_cache.get("ipp_ds_10")
     h_on = [frame_md5(f.planes, 10)
@@ -225,22 +241,56 @@ def test_subctu_modes_equal_and_spawn_counts(corpus_cache):
 
     # spawn accounting: P pictures with inter CUs spawn prefetch jobs,
     # all-intra streams spawn none
-    from tvc.bitio import parse_sequence_header, read_picture_unit
-    def drain(name, subctu=True):
+    def mcpre_jobs(name, subctu=True):
         data, _ = corpus_cache.get(name)
-        seq = parse_sequence_header(data[:18])
-        off = 18
-        with Decoder(seq, DecoderConfig(workers=1, subctu=subctu)) as dec:
-            for _ in range(seq.frame_count):
-                unit, off = read_picture_unit(data, off)
+        return drain(data, DecoderConfig(workers=1, subctu=subctu)).stats["mcpre_jobs"]
+    assert mcpre_jobs("ai_grad_8_loops") == 0
+    assert mcpre_jobs("ipp_ds_10") > 0
+    assert mcpre_jobs("ipp_ds_10", subctu=False) == 0
+
+
+def test_pool_bookkeeping_matches_inline(corpus_cache):
+    blob, _ = corpus_cache.get("ipp_ds_10")
+    inline = drain(blob, DecoderConfig(workers=1, profiling=True))
+    pool = drain(blob, DecoderConfig(workers=2, profiling=True))
+    assert pool.stats["mcpre_jobs"] == inline.stats["mcpre_jobs"] > 0
+    shares = pool.stage_profile()
+    assert list(shares) == list(inline.stage_profile())
+    assert abs(sum(shares.values()) - 100.0) <= 0.5
+    assert shares["inter"] > 0
+
+
+def flip_bit(data: bytes, seed: int) -> bytes:
+    """Flip one seeded bit past the sequence header."""
+    bit = random.Random(seed).randrange(bitio.SEQ_HEADER_SIZE * 8, len(data) * 8)
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def test_corrupt_payload_error_on_both_backends(corpus_cache):
+    """Baseline of today's behaviour: inline raises the parser's own error,
+    the pool a DecodeError whose message names that error's class."""
+    blob, _ = corpus_cache.get("ipp_tex_8_loops")
+    data = flip_bit(blob, seed=2)       # lands in picture 0's SAO syntax
+    with pytest.raises(bitio.CorruptStreamError) as inline_error:
+        drain(data, DecoderConfig(workers=1))
+
+    seq, units = bitio.split_container(data)
+    dec = Decoder(seq, DecoderConfig(workers=2))
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(DecodeError, match=type(inline_error.value).__name__):
+            for unit in units:
                 dec.feed(unit)
             dec.end_of_stream()
-            while dec.next_frame() is not None:
+            while dec.next_frame(timeout=30) is not None:
                 pass
-            return dec.stats["mcpre_jobs"]
-    assert drain("ai_grad_8_loops") == 0
-    assert drain("ipp_ds_10") > 0
-    assert drain("ipp_ds_10", subctu=False) == 0
+        assert time.perf_counter() - t0 < 30
+    finally:
+        t0 = time.perf_counter()
+        dec.close()
+    assert time.perf_counter() - t0 < 30
 
 
 def test_scalar_vector_decode_equal(corpus_cache):
