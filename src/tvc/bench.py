@@ -117,13 +117,11 @@ def decode_fps(data: bytes, config: DecoderConfig) -> float:
 
 
 def bench_decode(data: bytes, stream_name: str, workers_list,
-                 simd: bool = True, subctu: bool = True) -> list[DecodeRow]:
+                 simd: bool = True) -> list[DecodeRow]:
     rows = []
     base_fps = None
     for w in workers_list:
-        cfg = DecoderConfig(workers=w, simd=simd, subctu=subctu,
-                            max_inflight=max(4, w))
-        fps = decode_fps(data, cfg)
+        fps = decode_fps(data, DecoderConfig(workers=w, simd=simd))
         if base_fps is None:
             base_fps = fps
         rows.append(DecodeRow(stream=stream_name, workers=w, fps=fps,

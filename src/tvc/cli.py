@@ -62,7 +62,6 @@ def main_dec(argv=None) -> int:
     ap.add_argument("--bench", action="store_true", help="print timing summary only")
     ap.add_argument("--profile", action="store_true", help="print stage-time breakdown")
     ap.add_argument("--report", choices=("csv", "md"), default=None)
-    ap.add_argument("--no-subctu", action="store_true", help="disable sub-CTU MC fan-out")
     args = ap.parse_args(argv)
 
     try:
@@ -73,11 +72,8 @@ def main_dec(argv=None) -> int:
 
     try:
         seq, units = split_container(data)
-        config = DecoderConfig(
-            workers=args.threads, simd=args.simd != "off",
-            subctu=not args.no_subctu, profiling=args.profile,
-            max_inflight=max(4, args.threads),
-        )
+        config = DecoderConfig(workers=args.threads, simd=args.simd != "off",
+                               profiling=args.profile)
         reps = 3 if args.bench else 1
         times = []
         frames = []

@@ -1,8 +1,9 @@
 """Test-stream encoder: rate-unaware mode decisions over the decoder kernels.
 
-The encoder's reconstruction runs the exact decoder code path
-(reconstruct_ctu + execute_filter_row), so its returned reconstruction is
-bit-identical to what any conforming decode of the emitted stream yields.
+The encoder's reconstruction runs the exact decoder code path (per CU in
+mode decisions, reconstruct_ctu + execute_filter_row per picture), so its
+returned reconstruction is bit-identical to what any conforming decode of
+the emitted stream yields.
 Mode decisions minimize SSD + lambda * bits with a rough bit estimate;
 lambda = 0.57 * 2^((qp - 12) / 3).
 """
@@ -41,11 +42,16 @@ from .reconstruct import (
     PictureBuffers,
     ReconContext,
     _avail_fn,
+    _residual_block,
+    apply_lmcs_ctu,
     build_boundary_meta,
+    compute_mc_prediction,
     deblock_band,
     execute_filter_row,
     gather_intra_refs,
+    predict_cu,
     reconstruct_ctu,
+    reconstruct_cu,
 )
 from .syntax import (
     CtxBank,
@@ -171,6 +177,7 @@ class _PictureEncoder:
             pic=self.params, kernels=self.kset, bufs=self.bufs,
             ref_bufs=ref, lmcs_lut=self.lut,
         )
+        self.planes = [self.recon_plane(p) for p in range(self.params.num_planes)]
         self.rows = (self.seq.height + self.cfg.ctu_size - 1) // self.cfg.ctu_size
         self.cols = (self.seq.width + self.cfg.ctu_size - 1) // self.cfg.ctu_size
         self.ctus: list[ParsedCtu] = []
@@ -217,14 +224,7 @@ class _PictureEncoder:
                 cus: list[ParsedCu] = []
                 self.quadtree_decide(Rect(c * cs, r * cs, cs, cs), 0, cus)
                 if self.lut is not None:
-                    # mirror the decode path: inverse-map the CTU's luma
-                    # right after its reconstruction, before any filters
-                    y_plane = self.recon_plane(0)
-                    x1 = min((c + 1) * cs, self.seq.width)
-                    y1 = min((r + 1) * cs, self.seq.height)
-                    region = y_plane[r * cs : y1, c * cs : x1]
-                    y_plane[r * cs : y1, c * cs : x1] = self.kset.lmcs_apply(
-                        self.lut, region)
+                    apply_lmcs_ctu(self.ctx, r, c)
                 self.ctus.append(ParsedCtu(
                     row=r, col=c, cus=cus,
                     sao=[SaoParams() for _ in range(self.params.num_planes)],
@@ -306,12 +306,7 @@ class _PictureEncoder:
         intra = cu.mode != MODE_INTER
         total_ssd = 0
         bits = 4.0
-        from .kernels.transforms import (
-            dequant_vector,
-            forward_transform_vector,
-            inverse_transform_vector,
-            quant_vector,
-        )
+        from .kernels.transforms import forward_transform_vector, quant_vector
         for p in range(self.params.num_planes):
             s = 1 if p == 0 else 2
             src = self.comp_source(p)[rect.y // s : rect.y1 // s,
@@ -330,25 +325,10 @@ class _PictureEncoder:
                             resid[qy : qy + 32, qx : qx + 32], KIND_DCT2, KIND_DCT2, bd)
                         levels[qy : qy + 32, qx : qx + 32] = quant_vector(
                             sub.astype(np.int32), qp, intra)
-            if levels.any():
-                cu.cbf[p] = 1
-                cu.coeffs[p] = levels
-                if n <= 32:
-                    rec_resid = inverse_transform_vector(
-                        dequant_vector(levels, qp).astype(np.int16),
-                        kinds[0], kinds[1], bd)
-                else:
-                    rec_resid = np.empty((n, n), dtype=np.int32)
-                    for qy in (0, n // 2):
-                        for qx in (0, n // 2):
-                            rec_resid[qy : qy + 32, qx : qx + 32] = inverse_transform_vector(
-                                dequant_vector(levels[qy : qy + 32, qx : qx + 32], qp)
-                                .astype(np.int16), KIND_DCT2, KIND_DCT2, bd)
-                rec = np.clip(preds[p] + rec_resid, 0, smax)
-            else:
-                cu.cbf[p] = 0
-                cu.coeffs[p] = None
-                rec = np.clip(preds[p], 0, smax)
+            cu.cbf[p] = int(levels.any())
+            cu.coeffs[p] = levels if cu.cbf[p] else None
+            rec_resid = _residual_block(cu, p, n, n, qp, self.kset, bd)
+            rec = preds[p] if rec_resid is None else np.clip(preds[p] + rec_resid, 0, smax)
             total_ssd += _ssd(rec, src)
             bits += _coeff_bits(cu.coeffs[p])
         return total_ssd + self.lam * bits
@@ -360,7 +340,7 @@ class _PictureEncoder:
             sad = _sad(self._luma_pred(rect, mode), src)
             if best_sad is None or sad < best_sad:
                 best_mode, best_sad = mode, sad
-        preds = self._mode_preds(rect, MODE_INTRA, intra_mode=best_mode)
+        preds = self._preds(ParsedCu(rect=rect, mode=MODE_INTRA, intra_mode=best_mode))
         best = None
         if rect.w > 32 or self.cfg.effort == "fast":
             mts_options = (0,)
@@ -383,8 +363,7 @@ class _PictureEncoder:
         from .kernels.transforms import quant_vector
         for direction in (DIR_HOR, DIR_VER):
             cu = ParsedCu(rect=rect, mode=MODE_BDPCM, bdpcm_dir=direction)
-            pred_mode = syntax.INTRA_VER if direction == DIR_VER else syntax.INTRA_HOR
-            preds = self._mode_preds(rect, MODE_INTRA, intra_mode=pred_mode)
+            preds = self._preds(cu)
             ssd = 0
             bits = 4.0
             for p in range(self.params.num_planes):
@@ -432,14 +411,14 @@ class _PictureEncoder:
             return None
         bv = best[1]
         cu = ParsedCu(rect=rect, mode=MODE_IBC, bv=bv)
-        preds = self._mode_preds(rect, MODE_IBC, bv=bv)
+        preds = self._preds(cu)
         cost = self._residual_cost(cu, rect, preds) + self.lam * _vec_bits(bv)
         return cu, cost
 
     def _try_inter(self, rect: Rect) -> tuple[ParsedCu, float]:
         mv = self.motion_search(rect)
         cu = ParsedCu(rect=rect, mode=MODE_INTER, mv=mv)
-        preds = self._mode_preds(rect, MODE_INTER, mv=mv)
+        preds = self._preds(cu)
         mvp = syntax.derive_mvp(self.mf, rect)
         mvd = (mv[0] - mvp[0], mv[1] - mvp[1])
         cost = self._residual_cost(cu, rect, preds) + self.lam * _vec_bits(mvd)
@@ -481,64 +460,19 @@ class _PictureEncoder:
                 best_q = (key, mv)
         return best_q[1]
 
-    def _mode_preds(self, rect: Rect, mode: int, intra_mode: int = 0,
-                    mv=(0, 0), bv=(0, 0)) -> list[np.ndarray]:
-        bd = self.seq.bit_depth
-        mid = 1 << (bd - 1)
-        preds = []
-        for p in range(self.params.num_planes):
-            s = 1 if p == 0 else 2
-            plane = self.recon_plane(p)
-            if mode == MODE_INTRA:
-                top, left = gather_intra_refs(plane, rect, s, mid, self.avail)
-                preds.append(self.kset.intra_predict(intra_mode, top, left,
-                                                     rect.w // s, bd))
-            elif mode == MODE_IBC:
-                pv = bv if p == 0 else (bv[0] // 2, bv[1] // 2)
-                preds.append(self.kset.ibc_copy(plane, pv, rect.x // s, rect.y // s,
-                                                rect.w // s, rect.h // s))
-            else:  # inter
-                ref = self.ref.get(("y", "u", "v")[p], "final")
-                if p == 0:
-                    preds.append(self.kset.interp_luma(ref, mv, rect.x, rect.y,
-                                                       rect.w, rect.h, bd))
-                else:
-                    preds.append(self.kset.interp_chroma(
-                        ref, mv, rect.x // 2, rect.y // 2,
-                        rect.w // 2, rect.h // 2, bd))
-        return preds
+    def _preds(self, cu: ParsedCu) -> list[np.ndarray]:
+        """The decoder's prediction of ``cu``, staging its MC first if inter."""
+        if cu.mode == MODE_INTER:
+            compute_mc_prediction(cu, self.ctx)
+        return predict_cu(cu, self.ctx, self.planes, self.avail)
 
     def _reconstruct_cu(self, cu: ParsedCu) -> None:
-        """Decision-time reconstruction (authoritative pass re-runs per CTU)."""
-        bd = self.seq.bit_depth
-        smax = (1 << bd) - 1
-        if cu.mode == MODE_BDPCM:
-            dirmode = syntax.INTRA_VER if cu.bdpcm_dir == DIR_VER else syntax.INTRA_HOR
-            preds = self._mode_preds(cu.rect, MODE_INTRA, intra_mode=dirmode)
-        elif cu.mode == MODE_INTRA:
-            preds = self._mode_preds(cu.rect, MODE_INTRA, intra_mode=cu.intra_mode)
-        elif cu.mode == MODE_IBC:
-            preds = self._mode_preds(cu.rect, MODE_IBC, bv=cu.bv)
-        else:
-            preds = self._mode_preds(cu.rect, MODE_INTER, mv=cu.mv)
-        from .kernels.transforms import dequant_vector, inverse_transform_vector
-        from .reconstruct import _residual_block
-        for p in range(self.params.num_planes):
-            s = 1 if p == 0 else 2
-            region = self.cu_region(p, cu.rect)
-            if cu.mode == MODE_BDPCM:
-                levels = cu.coeffs[p]
-                if levels is None:
-                    levels = np.zeros((cu.rect.h // s, cu.rect.w // s), dtype=np.int16)
-                region[:] = self.kset.bdpcm(levels, cu.bdpcm_dir, self.params.qp,
-                                            preds[p], bd)
-                continue
-            resid = _residual_block(cu, p, cu.rect.w // s, cu.rect.h // s,
-                                    self.params.qp, self.kset, bd)
-            if resid is None:
-                region[:] = np.clip(preds[p], 0, smax)
-            else:
-                region[:] = np.clip(preds[p] + resid, 0, smax)
+        """Decision-time reconstruction (authoritative pass re-runs per CTU).
+
+        An inter ``cu`` was the last candidate ``encode_leaf`` tried, so its
+        MC is still staged.
+        """
+        reconstruct_cu(cu, self.ctx, self.planes, self.avail)
 
 
 class Encoder:
@@ -607,13 +541,20 @@ class Encoder:
                              lmcs_counts=lmcs)
 
     def _authoritative_recon(self, pe: _PictureEncoder) -> None:
-        """Re-run the decoder's reconstruction path over the chosen syntax."""
+        """Re-run the decoder's reconstruction path over the chosen syntax.
+
+        The assertion checks that the RD search's snapshot/restore left the
+        planes as one clean pass over the chosen CUs leaves them.
+        """
         decision = {
             p: pe.recon_plane(p).copy() for p in range(pe.params.num_planes)
         }
         for p in range(pe.params.num_planes):
             pe.recon_plane(p)[:] = 0
         for ctu in pe.ctus:
+            for cu in ctu.cus:
+                if cu.mode == MODE_INTER:
+                    compute_mc_prediction(cu, pe.ctx)
             reconstruct_ctu(ctu, pe.ctx)
         for p, dec_plane in decision.items():
             if not np.array_equal(dec_plane, pe.recon_plane(p)):

@@ -9,6 +9,10 @@ job becomes one message (``_job_message``) that ``exec.run_job`` executes.
   dependency counters and queues the messages; forked worker processes run
   them against sample planes living in one shared-memory arena and post
   completions back.
+
+P pictures motion-compensate in one "mcpre" job per inter CU, the only jobs
+gated on the reference's finalized rows.  A job's exception reaches the
+caller unchanged on both backends.
 """
 from __future__ import annotations
 
@@ -43,17 +47,13 @@ class DecodeError(RuntimeError):
 @dataclass
 class DecoderConfig:
     workers: int = 1
-    max_inflight: int = 4
     simd: bool = True
-    subctu: bool = True
     profiling: bool = False
     wide: bool = False             # test-only: 8-bit stream on the 16-bit path
 
     def validate(self) -> None:
         if not (1 <= self.workers <= 1024):
             raise ValueError(f"workers must be in [1, 1024], got {self.workers}")
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
 
 
 @dataclass
@@ -108,7 +108,7 @@ class Decoder:
         self.next_feed_id = 0
         self.next_out_id = 0
         self.eos = False
-        self.error: DecodeError | None = None
+        self.error: Exception | None = None
         self.closed = False
         self.stats = {"mcpre_jobs": 0}
         self._grid_rows = (seq.height + seq.ctu_size - 1) // seq.ctu_size
@@ -116,7 +116,8 @@ class Decoder:
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        n_slots = config.max_inflight + 2
+        self._active_cap = max(4, config.workers)    # pictures decoding at once
+        n_slots = self._active_cap + 2
         self._free_slots = deque(range(n_slots))
         self._multiproc = config.workers >= 2
         if self._multiproc:
@@ -174,7 +175,7 @@ class Decoder:
     def _admit_pending(self) -> None:
         while self.pending and self._free_slots:
             active = sum(1 for p in self.pics.values() if not p.output_done)
-            if active >= self.config.max_inflight:
+            if active >= self._active_cap:
                 return
             header, payload = self.pending.popleft()
             pic_id = self.next_feed_id
@@ -187,11 +188,7 @@ class Decoder:
             pic.lmcs_counts = header.lmcs_counts if self.seq.has_tool(TOOL_LMCS) else None
             pic.slot = self._free_slots.popleft()
             self._env.bufs[pic.slot].clear()
-            ref = pic_id - 1 if params.pic_type == 1 else None
-            pic.jobs = build_job_graph(
-                pic_id, params.pic_type, self._grid_rows, self._grid_cols,
-                self.seq.ctu_size, self.seq.height, self.seq.max_mv_y, ref,
-            )
+            pic.jobs = build_job_graph(pic_id, self._grid_rows, self._grid_cols)
             pic.recon_remaining = self._grid_rows * self._grid_cols
             self.pics[pic_id] = pic
             self.sched.add_jobs(pic.jobs)
@@ -205,15 +202,9 @@ class Decoder:
         if kind == "parse":
             return (key, pic.payload, pic.params)
         if kind == "recon":
-            _, pid, r, c = key
-            ctu = pic.ctus[r * self._grid_cols + c]
-            ref_slot = None
-            if pic.params.pic_type == 1:
-                ref_slot = self.pics[pid - 1].slot
-            staged = (self.config.subctu and pic.params.pic_type == 1
-                      and any(cu.mode == MODE_INTER for cu in ctu.cus))
-            return (key, pic.slot, ref_slot, pic.params, ctu, pic.lmcs_counts,
-                    staged, self.config.profiling)
+            _, _, r, c = key
+            return (key, pic.slot, pic.params, pic.ctus[r * self._grid_cols + c],
+                    pic.lmcs_counts, self.config.profiling)
         if kind == "mcpre":
             _, pid, r, c, i = key
             ctu = pic.ctus[r * self._grid_cols + c]
@@ -239,29 +230,24 @@ class Decoder:
                 self._task_q.put(self._job_message(key))
 
     def _dispatch_loop(self) -> None:
-        while True:
-            msg = self._result_q.get()
-            if msg is None:
-                return
-            try:
-                status, key, payload = msg
-                pic_id = key[1]
-            except Exception:
-                with self._cond:
-                    self._fail(-1, f"malformed worker message: {msg!r:.200}")
-                return
+        """Handle worker results until close() posts None; after a failure or
+        close(), drop them, so no worker blocks on a full pipe and no job is
+        queued behind the workers' stop sentinels."""
+        while (msg := self._result_q.get()) is not None:
             with self._cond:
-                if status == "error":
-                    self._fail(pic_id, payload)
-                    return
+                if self.error is not None or self.closed:
+                    continue
                 try:
+                    status, key, payload = msg
+                    if status == "error":
+                        self._fail(key[1], payload)
+                        continue
                     self._handle_done(key, payload)
                     self._push_ready()
                     self._admit_pending()
                     self._push_ready()
                 except Exception as e:           # defect guard: fail loudly
-                    self._fail(pic_id, f"dispatch failure: {e!r}")
-                    return
+                    self._fail(-1, f"dispatch failure on {msg!r:.200}: {e!r}")
 
     def _handle_done(self, key: tuple, payload) -> None:
         kind = key[0]
@@ -276,7 +262,7 @@ class Decoder:
                 if pic.header.ccalf_coeffs else None,
             )
             self.profile.add("entropy", secs)
-            if (self.config.subctu and pic.params.pic_type == 1):
+            if pic.params.pic_type == 1:
                 self._spawn_prefetch(pic)
         elif kind == "recon":
             pic.recon_remaining -= 1
@@ -296,8 +282,9 @@ class Decoder:
         self._cond.notify_all()
 
     def _spawn_prefetch(self, pic: _Picture) -> None:
-        """One MC job per inter CU, keyed by its index in ``ctu.cus``;
-        recon consumes the staged predictions."""
+        """One MC job per inter CU, keyed by its index in ``ctu.cus`` and
+        gated on the reference rows its CTU row may read; its CTU's recon
+        waits for it and reads the staged prediction."""
         for r in range(self._grid_rows):
             for c in range(self._grid_cols):
                 ctu = pic.ctus[r * self._grid_cols + c]
@@ -350,9 +337,11 @@ class Decoder:
         pic.ctus = None
         pic.fctx = None
 
-    def _fail(self, pic_id: int, message: str) -> None:
+    def _fail(self, pic_id: int, error: Exception | str) -> None:
+        """Keep the first failure: a job's own exception, or a DecodeError."""
         if self.error is None:
-            self.error = DecodeError(pic_id, message)
+            self.error = (error if isinstance(error, Exception)
+                          else DecodeError(pic_id, error))
         self._cond.notify_all()
 
     # -------------------------------------------------------------- inline
@@ -370,7 +359,7 @@ class Decoder:
                 else:
                     self._handle_done(key, ex.run_job(self._job_message(key), self._env))
             except Exception as e:
-                self._fail(key[1], f"{type(e).__name__}: {e}")
+                self._fail(key[1], e)
                 raise
             self._admit_pending()
 
@@ -412,17 +401,20 @@ class Decoder:
             return dict(self.profile.t)
 
     def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
+        with self._cond:
+            if self.closed:
+                return
+            self.closed = True
         if self._multiproc:
+            # the dispatch thread drains results until every worker is gone
             for _ in self._workers:
                 self._task_q.put(None)
-            self._result_q.put(None)
             for w in self._workers:
                 w.join(timeout=5)
                 if w.is_alive():
                     w.terminate()
+                    w.join()
+            self._result_q.put(None)
             self._dispatch_thread.join(timeout=5)
 
     def __enter__(self) -> "Decoder":

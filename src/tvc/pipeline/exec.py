@@ -81,13 +81,12 @@ def run_job(msg: tuple, env: JobEnv):
         _, payload, params = msg
         return parse_picture_payload(payload, params)
     if kind == "recon":
-        key, slot, ref_slot, params, ctu, lmcs_counts, staged, profiling = msg
+        key, slot, params, ctu, lmcs_counts, profiling = msg
         profile = Profile() if profiling else None
         ctx = ReconContext(
             pic=params, kernels=env.kset, bufs=env.bufs[slot],
-            ref_bufs=env.bufs[ref_slot] if ref_slot is not None else None,
             lmcs_lut=env.lmcs_lut(key[1], lmcs_counts, params.bit_depth),
-            use_staged_pred=staged, profile=profile,
+            profile=profile,
         )
         t0 = time.perf_counter()
         reconstruct_ctu(ctu, ctx)

@@ -2,7 +2,8 @@
 
 Job keys are tuples: ("parse", pic), ("recon", pic, r, c),
 ("mcpre", pic, r, c, i) with i the inter CU's index in the CTU's ``cus``,
-("filter", pic, r), ("output", pic).
+("filter", pic, r), ("output", pic).  Only "mcpre" jobs read the reference
+picture, so only they carry a counter gate on its finalized rows.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ def wavefront_deps(r: int, c: int, rows: int, cols: int) -> list[tuple[int, int]
 
 
 def gate_rows(r: int, ctu_size: int, height: int, max_mv_y: int) -> int:
-    """Reference finalized-row requirement for reconstructing CTU row r."""
+    """Reference finalized-row requirement for motion-compensating CTU row r."""
     return min(height, (r + 1) * ctu_size + max_mv_y + 4)
 
 
@@ -34,18 +35,17 @@ class Job:
     done: bool = False
 
 
-def build_job_graph(pic_id: int, pic_type: int, rows: int, cols: int,
-                    ctu_size: int, height: int, max_mv_y: int,
-                    ref_pic: int | None) -> dict[tuple, Job]:
+def build_job_graph(pic_id: int, rows: int, cols: int) -> dict[tuple, Job]:
     """Static per-picture jobs: parse -> recon wavefront -> filter rows -> output.
 
-    P-picture recon rows carry a counter-gate on the reference picture's
-    finalized rows.  Sub-CTU prefetch jobs are added dynamically after parse.
+    None of them reads another picture.  A P picture's "mcpre" jobs, the only
+    ones that read its reference and so the only gated ones, are added after
+    its parse.
     """
     jobs: dict[tuple, Job] = {}
 
-    def add(key, deps=(), gate=None):
-        job = Job(key=key, gate=gate)
+    def add(key, deps=()):
+        job = Job(key=key)
         jobs[key] = job
         for d in deps:
             jobs[d].dependents.append(key)
@@ -58,11 +58,7 @@ def build_job_graph(pic_id: int, pic_type: int, rows: int, cols: int,
             deps = [("parse", pic_id)]
             deps += [("recon", pic_id, dr, dc)
                      for dr, dc in wavefront_deps(r, c, rows, cols)]
-            gate = None
-            if pic_type == 1:
-                assert ref_pic is not None
-                gate = (ref_pic, gate_rows(r, ctu_size, height, max_mv_y))
-            add(("recon", pic_id, r, c), deps, gate)
+            add(("recon", pic_id, r, c), deps)
     for r in range(rows):
         deps = [("recon", pic_id, r, cols - 1)]
         if r + 1 < rows:

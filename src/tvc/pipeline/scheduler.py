@@ -30,7 +30,7 @@ class Scheduler:
                 self._maybe_ready(job)
 
     def add_prefetch(self, key: tuple, gate: tuple, recon_key: tuple) -> None:
-        """Dynamic sub-CTU job: no deps, gated, feeding one recon job."""
+        """Dynamic mcpre job: no deps, gated, feeding one recon job."""
         job = Job(key=key, gate=gate, dependents=[recon_key])
         self.jobs[key] = job
         self.jobs[recon_key].dep_count += 1

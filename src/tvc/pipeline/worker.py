@@ -8,6 +8,7 @@ dispatch thread.
 """
 from __future__ import annotations
 
+import pickle
 import traceback
 
 from .exec import JobEnv, run_job
@@ -21,6 +22,15 @@ def worker_main(env: JobEnv, task_q, result_q) -> None:
         key = msg[0]
         try:
             result = ("done", key, run_job(msg, env))
-        except Exception:
-            result = ("error", key, traceback.format_exc())
+        except Exception as e:
+            result = ("error", key, _portable(e))
         result_q.put(result)
+
+
+def _portable(error: Exception) -> Exception | str:
+    """The exception itself if it pickles (the master raises it), else its traceback."""
+    try:
+        pickle.loads(pickle.dumps(error))
+        return error
+    except Exception:
+        return "".join(traceback.format_exception(error))

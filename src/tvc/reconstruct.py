@@ -2,7 +2,8 @@
 
 This is the single code path both the decoder pipeline and the encoder's
 closed loop run, which is what makes encoder reconstruction and decoder
-output bit-exact by construction.
+output bit-exact by construction.  Every CU's samples come from
+``reconstruct_cu``; inter CUs read the pred plane ``compute_mc_prediction`` fills.
 
 Filtering is organized in CTU-row bands with staged planes
 (recon -> dblk -> sao -> final).  Band r writes each stage only up to the
@@ -32,7 +33,6 @@ from .syntax import (
     MODE_BDPCM,
     MODE_IBC,
     MODE_INTER,
-    MODE_INTRA,
     DIR_VER,
     ParsedCtu,
     PicParams,
@@ -197,10 +197,12 @@ class ReconContext:
     pic: PicParams
     kernels: KernelSet
     bufs: PictureBuffers
-    ref_bufs: PictureBuffers | None = None       # previous picture (P only)
+    ref_bufs: PictureBuffers | None = None       # previous picture, read by MC only
     lmcs_lut: np.ndarray | None = None
-    use_staged_pred: bool = False
     profile: Profile | None = None
+
+
+_NO_CLOCK = _Clock(None)
 
 
 def _residual_block(cu, plane_idx, w, h, qp, kset, bit_depth):
@@ -222,84 +224,89 @@ def _residual_block(cu, plane_idx, w, h, qp, kset, bit_depth):
     return out
 
 
-def reconstruct_ctu(ctu: ParsedCtu, ctx: ReconContext) -> None:
-    """Reconstruct one CTU's samples into the recon planes, in CU parse order."""
-    pic = ctx.pic
+def predict_cu(cu, ctx: ReconContext, planes: list[np.ndarray], avail) -> list[np.ndarray]:
+    """One CU's prediction per recon plane: intra (BDPCM: its directional
+    mode) from neighbours ``avail`` admits, IBC, or the staged inter MC."""
     kset = ctx.kernels
-    bd = pic.bit_depth
+    bd = ctx.pic.bit_depth
     mid = 1 << (bd - 1)
+    rect = cu.rect
+    mode = cu.intra_mode
+    if cu.mode == MODE_BDPCM:
+        mode = syntax.INTRA_VER if cu.bdpcm_dir == DIR_VER else syntax.INTRA_HOR
+    preds = []
+    for p, plane in enumerate(planes):
+        scale = 1 if p == 0 else 2
+        x, y = rect.x // scale, rect.y // scale
+        w, h = rect.w // scale, rect.h // scale
+        if cu.mode == MODE_INTER:
+            stage = ctx.bufs.get(("y", "u", "v")[p], "pred")
+            preds.append(stage[y : y + h, x : x + w].astype(np.int32))
+        elif cu.mode == MODE_IBC:
+            bv = cu.bv if p == 0 else (cu.bv[0] // 2, cu.bv[1] // 2)
+            preds.append(kset.ibc_copy(plane, bv, x, y, w, h))
+        else:
+            top, left = gather_intra_refs(plane, rect, scale, mid, avail)
+            preds.append(kset.intra_predict(mode, top, left, w, bd))
+    return preds
+
+
+def reconstruct_cu(cu, ctx: ReconContext, planes: list[np.ndarray], avail,
+                   clock: _Clock | None = None) -> None:
+    """Write one CU's prediction plus its decoded residual into ``planes``."""
+    clock = clock or _NO_CLOCK
+    preds = predict_cu(cu, ctx, planes, avail)
+    clock.lap("inter" if cu.mode == MODE_INTER else "intra")
+    kset = ctx.kernels
+    qp = ctx.pic.qp
+    bd = ctx.pic.bit_depth
     smax = (1 << bd) - 1
-    cs = pic.ctu_size
-    comp_planes = [ctx.bufs.get("y", "recon")]
-    if pic.num_planes == 3:
-        comp_planes += [ctx.bufs.get("u", "recon"), ctx.bufs.get("v", "recon")]
+    rect = cu.rect
+    for p, (plane, pred) in enumerate(zip(planes, preds)):
+        scale = 1 if p == 0 else 2
+        x, y = rect.x // scale, rect.y // scale
+        w, h = rect.w // scale, rect.h // scale
+        if cu.mode == MODE_BDPCM:
+            levels = cu.coeffs[p]
+            if levels is None:
+                levels = np.zeros((h, w), dtype=np.int16)
+            out = kset.bdpcm(levels, cu.bdpcm_dir, qp, pred, bd)
+        else:
+            resid = _residual_block(cu, p, w, h, qp, kset, bd)
+            out = pred if resid is None else np.clip(pred + resid, 0, smax)
+        plane[y : y + h, x : x + w] = out
+    clock.lap("iqit")
+
+
+def apply_lmcs_ctu(ctx: ReconContext, row: int, col: int) -> None:
+    """Inverse-map one reconstructed CTU's luma, before any loop filter."""
+    cs = ctx.pic.ctu_size
+    region = ctx.bufs.get("y", "recon")[row * cs : (row + 1) * cs,
+                                        col * cs : (col + 1) * cs]
+    region[:] = ctx.kernels.lmcs_apply(ctx.lmcs_lut, region)
+
+
+def reconstruct_ctu(ctu: ParsedCtu, ctx: ReconContext) -> None:
+    """Reconstruct one CTU's samples into the recon planes, in CU parse order.
+    Its inter CUs' MC must be staged first; the reference is never read."""
+    cs = ctx.pic.ctu_size
+    planes = [ctx.bufs.get(comp, "recon") for comp in ctx.bufs.comp_names()]
     coded = np.zeros((cs // 8, cs // 8), dtype=bool)
-    avail = _avail_fn(pic, ctu.row, ctu.col, coded)
+    avail = _avail_fn(ctx.pic, ctu.row, ctu.col, coded)
     clock = _Clock(ctx.profile)
-
+    y0, x0 = ctu.row * cs, ctu.col * cs
     for cu in ctu.cus:
-        rect = cu.rect
-        for p, plane in enumerate(comp_planes):
-            scale = 1 if p == 0 else 2
-            x, y = rect.x // scale, rect.y // scale
-            w, h = rect.w // scale, rect.h // scale
-
-            if cu.mode == MODE_BDPCM:
-                ref_mode = (syntax.INTRA_VER if cu.bdpcm_dir == DIR_VER
-                            else syntax.INTRA_HOR)
-                top, left = gather_intra_refs(plane, rect, scale, mid, avail)
-                pred = kset.intra_predict(ref_mode, top, left, w, bd)
-                clock.lap("intra")
-                levels = cu.coeffs[p]
-                if levels is None:
-                    levels = np.zeros((h, w), dtype=np.int16)
-                recon = kset.bdpcm(levels, cu.bdpcm_dir, pic.qp, pred, bd)
-                clock.lap("iqit")
-                plane[y : y + h, x : x + w] = recon
-                continue
-
-            if cu.mode == MODE_INTRA:
-                top, left = gather_intra_refs(plane, rect, scale, mid, avail)
-                pred = kset.intra_predict(cu.intra_mode, top, left, w, bd)
-                clock.lap("intra")
-            elif cu.mode == MODE_IBC:
-                bv = cu.bv if p == 0 else (cu.bv[0] // 2, cu.bv[1] // 2)
-                pred = kset.ibc_copy(plane, bv, x, y, w, h)
-                clock.lap("intra")
-            else:  # MODE_INTER
-                if ctx.use_staged_pred:
-                    stage = ctx.bufs.get(("y", "u", "v")[p], "pred")
-                    pred = stage[y : y + h, x : x + w].astype(np.int32)
-                else:
-                    ref = ctx.ref_bufs.get(("y", "u", "v")[p], "final")
-                    if p == 0:
-                        pred = kset.interp_luma(ref, cu.mv, x, y, w, h, bd)
-                    else:
-                        pred = kset.interp_chroma(ref, cu.mv, x, y, w, h, bd)
-                clock.lap("inter")
-
-            resid = _residual_block(cu, p, w, h, pic.qp, kset, bd)
-            if resid is None:
-                out = pred
-            else:
-                out = np.clip(pred + resid, 0, smax)
-            clock.lap("iqit")
-            plane[y : y + h, x : x + w] = out
-        coded[(rect.y - ctu.row * cs) // 8 : (rect.y1 - ctu.row * cs) // 8,
-              (rect.x - ctu.col * cs) // 8 : (rect.x1 - ctu.col * cs) // 8] = True
-
+        reconstruct_cu(cu, ctx, planes, avail, clock)
+        r = cu.rect
+        coded[(r.y - y0) // 8 : (r.y1 - y0) // 8, (r.x - x0) // 8 : (r.x1 - x0) // 8] = True
     if ctx.lmcs_lut is not None:
-        y_plane = ctx.bufs.get("y", "recon")
-        x0, y0 = ctu.col * cs, ctu.row * cs
-        x1 = min(x0 + cs, pic.width)
-        y1 = min(y0 + cs, pic.height)
-        region = y_plane[y0:y1, x0:x1]
-        y_plane[y0:y1, x0:x1] = kset.lmcs_apply(ctx.lmcs_lut, region)
+        apply_lmcs_ctu(ctx, ctu.row, ctu.col)
         clock.lap("lmcs")
 
 
 def compute_mc_prediction(cu, ctx: ReconContext) -> None:
-    """Sub-CTU fan-out: write one inter CU's prediction into the staging planes."""
+    """The only inter prediction: one CU's MC from ``ctx.ref_bufs`` into the
+    pred planes, where ``predict_cu`` reads it."""
     pic = ctx.pic
     kset = ctx.kernels
     bd = pic.bit_depth

@@ -5,6 +5,7 @@ including the screen-content tools.  Sources are counter-based integer
 generators, so encodes are identical on every platform; golden per-frame
 hashes live in tests/golden/.
 """
+import random
 from dataclasses import dataclass
 
 from tvc import bitio, corpus
@@ -69,3 +70,11 @@ def build_stream(sd: StreamDef):
                         ctu_size=sd.ctu, lmcs_table=sd.lmcs_table)
     enc = Encoder(sd.width, sd.height, sd.bit_depth, sd.chroma, cfg)
     return enc.encode_sequence(build_source(sd))
+
+
+def flip_bit(data: bytes, seed: int) -> bytes:
+    """Flip one seeded bit past the sequence header."""
+    bit = random.Random(seed).randrange(bitio.SEQ_HEADER_SIZE * 8, len(data) * 8)
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)

@@ -57,7 +57,7 @@ def bench_stream():
 
 
 def test_criterion_1_determinism(corpus_cache):
-    """Per-frame MD5 identical across worker counts, SIMD, sub-CTU modes."""
+    """Per-frame MD5 identical across worker counts and SIMD on/off."""
     t0 = time.time()
     assert len(CORPUS) >= 12
     failures = []
@@ -76,13 +76,9 @@ def test_criterion_1_determinism(corpus_cache):
                              DecoderConfig(workers=2, simd=False))
         if got != base:
             failures.append((sd.name, "simd=off"))
-        got = stream_digests(blob, sd.bit_depth,
-                             DecoderConfig(workers=2, subctu=False))
-        if got != base:
-            failures.append((sd.name, "subctu=off"))
     dt = time.time() - t0
     status = "PASS" if not failures and dt < 300 else "FAIL"
-    report(1, status, f"{len(CORPUS)} streams x 7 configs in {dt:.0f}s "
+    report(1, status, f"{len(CORPUS)} streams x 6 configs in {dt:.0f}s "
                       f"(budget 300s); failures: {failures or 'none'}")
     assert not failures, failures
     assert dt < 300, f"determinism suite took {dt:.0f}s (budget 300s)"
@@ -310,8 +306,7 @@ def test_criterion_9_property_suites():
 
     # DAG acyclicity
     for rows, cols in ((1, 1), (2, 3), (5, 5), (3, 8)):
-        assert_acyclic(build_job_graph(0, 0, rows, cols, 64, rows * 64, 8, None))
-        assert_acyclic(build_job_graph(1, 1, rows, cols, 64, rows * 64, 8, 0))
+        assert_acyclic(build_job_graph(0, rows, cols))
 
     # LMCS monotonicity
     from tvc.kernels.filters import lmcs_build_inverse

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from corpus_def import flip_bit
 from tvc import bench as bench_mod
 from tvc import corpus, y4m
 from tvc.cli import main_bench, main_dec, main_enc
@@ -146,6 +147,16 @@ def test_dec_garbage_input_exits_1(tmp_path):
     bad = tmp_path / "bad.tvc"
     bad.write_bytes(b"XXXX" + b"\0" * 64)
     assert main_dec(["--input", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dec_corrupt_stream_exits_1_with_one_line(threads, corpus_cache, tmp_path, capfd):
+    blob, _ = corpus_cache.get("ipp_tex_8_loops")
+    bad = tmp_path / "flipped.tvc"
+    bad.write_bytes(flip_bit(blob, seed=2))   # a CorruptStreamError in picture 0
+    assert main_dec(["--input", str(bad), "--threads", threads]) == 1
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: format error: "), err
 
 
 def test_dec_profile_prints_stages(sample_stream, capsys):

@@ -11,6 +11,8 @@ from tvc.encoder import (
     rd_lambda,
 )
 from tvc.pipeline import DecoderConfig, decode_container
+from tvc.pipeline.decoder import params_from_headers
+from tvc.pipeline.exec import parse_picture_payload
 from tvc.syntax import MODE_BDPCM, MODE_IBC, MODE_INTER, MODE_INTRA
 
 
@@ -30,6 +32,17 @@ def mean_luma_psnr(source, recons, bit_depth):
 def encode(frames, w, h, bd, cf, **kw):
     cfg = EncoderConfig(**kw)
     return Encoder(w, h, bd, cf, cfg).encode_sequence(frames)
+
+
+def parsed_pictures(blob):
+    """(picture header, params, parsed CTUs) of every picture in a container."""
+    seq, units = bitio.split_container(blob)
+    out = []
+    for unit in units:
+        header, payload = bitio.parse_picture_header(unit, seq)
+        params = params_from_headers(seq, header)
+        out.append((header, params, parse_picture_payload(payload, params)[0]))
+    return out
 
 
 def test_ai_noise_closure_bit_exact():
@@ -82,13 +95,7 @@ def test_flat_source_prefers_whole_ctu_leaves():
     cfg = EncoderConfig(qp=32, gop="ai", tool_flags=0, ctu_size=64)
     enc = Encoder(128, 64, 8, 1, cfg)
     blob, _ = enc.encode_sequence(flat)
-    from tvc.bitio import parse_picture_header, parse_sequence_header, read_picture_unit
-    from tvc.pipeline import exec as ex
-    from tvc.pipeline.decoder import params_from_headers
-    seq = parse_sequence_header(blob[:18])
-    unit, _ = read_picture_unit(blob, 18)
-    header, payload = parse_picture_header(unit, seq)
-    ctus, _ = ex.parse_picture_payload(payload, params_from_headers(seq, header))
+    ctus = parsed_pictures(blob)[0][2]
     assert len(ctus) == 2
     for ctu in ctus:
         assert len(ctu.cus) == 1 and ctu.cus[0].rect.w == 64
@@ -99,13 +106,7 @@ def test_boundary_ctu_forced_split_matches_syntax_tiling():
     # parser's forced-split enumeration
     frames = corpus.gradient(40, 40, 1, 8, 1, seed=8)
     blob, _ = encode(frames, 40, 40, 8, 1, qp=30, gop="ai", tool_flags=0, ctu_size=64)
-    from tvc.bitio import parse_picture_header, parse_sequence_header, read_picture_unit
-    from tvc.pipeline import exec as ex
-    from tvc.pipeline.decoder import params_from_headers
-    seq = parse_sequence_header(blob[:18])
-    unit, _ = read_picture_unit(blob, 18)
-    header, payload = parse_picture_header(unit, seq)
-    ctus, _ = ex.parse_picture_payload(payload, params_from_headers(seq, header))
+    ctus = parsed_pictures(blob)[0][2]
     cover = np.zeros((40, 40), dtype=int)
     for cu in ctus[0].cus:
         r = cu.rect
@@ -121,19 +122,8 @@ def test_boundary_ctu_forced_split_matches_syntax_tiling():
 def encoder_for_motion(frames):
     cfg = EncoderConfig(qp=30, gop="ipp", tool_flags=0, ctu_size=32)
     enc = Encoder(96, 64, 8, 1, cfg)
-    blob, recons = enc.encode_sequence(frames)
-    from tvc.bitio import parse_picture_header, parse_sequence_header, read_picture_unit
-    from tvc.pipeline import exec as ex
-    from tvc.pipeline.decoder import params_from_headers
-    seq = parse_sequence_header(blob[:18])
-    offset = 18
-    pics = []
-    for _ in range(seq.frame_count):
-        unit, offset = read_picture_unit(blob, offset)
-        header, payload = parse_picture_header(unit, seq)
-        params = params_from_headers(seq, header)
-        pics.append(ex.parse_picture_payload(payload, params)[0])
-    return pics
+    blob, _ = enc.encode_sequence(frames)
+    return [ctus for _, _, ctus in parsed_pictures(blob)]
 
 
 def test_static_scene_motion_is_zero():
@@ -198,13 +188,7 @@ def test_sao_off_when_dblk_equals_source():
     blob, recons = enc.encode_sequence(frames)
     # qp 0, no deblocking: reconstruction is essentially the source; SAO must
     # not claim an improvement worth signaling beyond noise
-    from tvc.bitio import parse_picture_header, parse_sequence_header, read_picture_unit
-    from tvc.pipeline import exec as ex
-    from tvc.pipeline.decoder import params_from_headers
-    seq = parse_sequence_header(blob[:18])
-    unit, _ = read_picture_unit(blob, 18)
-    header, payload = parse_picture_header(unit, seq)
-    ctus, _ = ex.parse_picture_payload(payload, params_from_headers(seq, header))
+    ctus = parsed_pictures(blob)[0][2]
     if np.array_equal(recons[0][0], frames[0][0]):
         assert all(p.mode == 0 for ctu in ctus for p in ctu.sao)
 
@@ -234,15 +218,7 @@ def test_sao_band_mode_wins_on_banding_fixture():
 def test_sao_offsets_always_in_range(corpus_cache):
     for name in ("ipp_tex_8_loops", "ai_scc_8", "ipp_qp22_8"):
         blob, _ = corpus_cache.get(name)
-        from tvc.bitio import parse_picture_header, parse_sequence_header, read_picture_unit
-        from tvc.pipeline import exec as ex
-        from tvc.pipeline.decoder import params_from_headers
-        seq = parse_sequence_header(blob[:18])
-        offset = 18
-        for _ in range(seq.frame_count):
-            unit, offset = read_picture_unit(blob, offset)
-            header, payload = parse_picture_header(unit, seq)
-            ctus, _ = ex.parse_picture_payload(payload, params_from_headers(seq, header))
+        for _, _, ctus in parsed_pictures(blob):
             for ctu in ctus:
                 for p in ctu.sao:
                     assert all(-31 <= o <= 31 for o in p.offsets)
@@ -271,10 +247,6 @@ def test_lambda_shape():
 
 
 def test_tool_exercise_coverage(corpus_cache):
-    from tvc.bitio import parse_picture_header, parse_sequence_header, read_picture_unit
-    from tvc.pipeline import exec as ex
-    from tvc.pipeline.decoder import params_from_headers
-
     seen_modes = set()
     seen_mts = set()
     seen_sao_modes = set()
@@ -284,14 +256,8 @@ def test_tool_exercise_coverage(corpus_cache):
     seen_pic_types = set()
     for name in [s for s in corpus_cache.names()]:
         blob, _ = corpus_cache.get(name)
-        seq = parse_sequence_header(blob[:18])
-        offset = 18
-        for _ in range(seq.frame_count):
-            unit, offset = read_picture_unit(blob, offset)
-            header, payload = parse_picture_header(unit, seq)
-            params = params_from_headers(seq, header)
+        for header, params, ctus in parsed_pictures(blob):
             seen_pic_types.add(header.pic_type)
-            ctus, _ = ex.parse_picture_payload(payload, params)
             for ctu in ctus:
                 for p in ctu.sao:
                     seen_sao_modes.add(p.mode)

@@ -1,11 +1,10 @@
 """Pipeline tests: job graph, scheduler, gates, determinism, filter bands."""
-import random
 import time
 
 import numpy as np
 import pytest
 
-from corpus_def import CORPUS_BY_NAME
+from corpus_def import CORPUS_BY_NAME, flip_bit
 from tvc import bitio
 from tvc.bitio import SequenceHeader
 from tvc.hashes import frame_md5
@@ -17,7 +16,6 @@ from tvc.kernels.filters import (
     sao_block_scalar,
 )
 from tvc.pipeline import (
-    DecodeError,
     Decoder,
     DecoderConfig,
     build_job_graph,
@@ -26,10 +24,12 @@ from tvc.pipeline import (
     wavefront_deps,
 )
 from tvc.pipeline.decoder import params_from_headers
+from tvc.pipeline.exec import parse_picture_payload
 from tvc.pipeline.jobs import assert_acyclic
 from tvc.pipeline.scheduler import Scheduler
 from tvc.pipeline.jobs import Job
 from tvc.reconstruct import band_limits, build_boundary_meta
+from tvc.syntax import MODE_INTER
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_wavefront_closure_exhaustive():
 
 
 def test_job_graph_2x3_example():
-    jobs = build_job_graph(0, 0, 2, 3, 64, 128, 16, None)
+    jobs = build_job_graph(0, 2, 3)
     assert jobs[("recon", 0, 0, 0)].dep_count == 1          # parse only
     j = jobs[("recon", 0, 1, 0)]
     assert j.dep_count == 2                                  # parse + (0,1)
@@ -103,25 +103,40 @@ def test_job_graph_2x3_example():
 
 
 def test_job_graph_1x1_is_linear_chain():
-    jobs = build_job_graph(0, 0, 1, 1, 64, 64, 16, None)
+    jobs = build_job_graph(0, 1, 1)
     assert jobs[("recon", 0, 0, 0)].dep_count == 1
     assert jobs[("filter", 0, 0)].dep_count == 1
     assert jobs[("output", 0)].dep_count == 1
     assert_acyclic(jobs)
 
 
-def test_p_picture_row0_gate_example():
+def test_p_picture_row0_gate_example(corpus_cache, monkeypatch):
     # ctu 64, max_mv_y 64: requires finalized_rows(ref) >= 132
     assert gate_rows(0, 64, 1080, 64) == 132
-    jobs = build_job_graph(1, 1, 2, 2, 64, 1080, 64, ref_pic=0)
-    assert jobs[("recon", 1, 0, 0)].gate == (0, 132)
+    # only a P picture's mcpre jobs are gated, each on its CTU row's rows of
+    # the previous picture; no static job carries a gate
+    assert all(j.gate is None for j in build_job_graph(1, 2, 2).values())
+    seen = []
+    add_prefetch = Scheduler.add_prefetch
+
+    def spy(self, key, gate, recon_key):
+        seen.append((key, gate))
+        add_prefetch(self, key, gate, recon_key)
+
+    monkeypatch.setattr(Scheduler, "add_prefetch", spy)
+    blob, _ = corpus_cache.get("ipp_ds_10")
+    dec = drain(blob, DecoderConfig(workers=1))
+    seq = dec.seq
+    assert len(seen) == dec.stats["mcpre_jobs"] > 0
+    for (kind, pic, r, _c, _i), gate in seen:
+        assert kind == "mcpre" and pic > 0
+        assert gate == (pic - 1, gate_rows(r, seq.ctu_size, seq.height, seq.max_mv_y))
 
 
 def test_job_graphs_acyclic():
     for rows in range(1, 6):
         for cols in range(1, 6):
-            assert_acyclic(build_job_graph(0, 0, rows, cols, 64, rows * 64, 8, None))
-            assert_acyclic(build_job_graph(1, 1, rows, cols, 64, rows * 64, 8, 0))
+            assert_acyclic(build_job_graph(0, rows, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -231,22 +246,22 @@ def drain(data, config):
     return dec
 
 
-def test_subctu_modes_equal_and_spawn_counts(corpus_cache):
-    blob, _ = corpus_cache.get("ipp_ds_10")
-    h_on = [frame_md5(f.planes, 10)
-            for f in decode_container(blob, DecoderConfig(workers=1, subctu=True))]
-    h_off = [frame_md5(f.planes, 10)
-             for f in decode_container(blob, DecoderConfig(workers=1, subctu=False))]
-    assert h_on == h_off
-
-    # spawn accounting: P pictures with inter CUs spawn prefetch jobs,
-    # all-intra streams spawn none
-    def mcpre_jobs(name, subctu=True):
+def test_mcpre_spawn_counts(corpus_cache):
+    # one prefetch job per inter CU of every P picture; all-intra streams
+    # spawn none
+    def mcpre_jobs(name):
         data, _ = corpus_cache.get(name)
-        return drain(data, DecoderConfig(workers=1, subctu=subctu)).stats["mcpre_jobs"]
+        return drain(data, DecoderConfig(workers=1)).stats["mcpre_jobs"]
     assert mcpre_jobs("ai_grad_8_loops") == 0
-    assert mcpre_jobs("ipp_ds_10") > 0
-    assert mcpre_jobs("ipp_ds_10", subctu=False) == 0
+    blob, _ = corpus_cache.get("ipp_ds_10")
+    seq, units = bitio.split_container(blob)
+    inter_cus = 0
+    for unit in units:
+        header, payload = bitio.parse_picture_header(unit, seq)
+        params = params_from_headers(seq, header)
+        ctus, _ = parse_picture_payload(payload, params)
+        inter_cus += sum(cu.mode == MODE_INTER for ctu in ctus for cu in ctu.cus)
+    assert mcpre_jobs("ipp_ds_10") == inter_cus > 0
 
 
 def test_pool_bookkeeping_matches_inline(corpus_cache):
@@ -260,17 +275,9 @@ def test_pool_bookkeeping_matches_inline(corpus_cache):
     assert shares["inter"] > 0
 
 
-def flip_bit(data: bytes, seed: int) -> bytes:
-    """Flip one seeded bit past the sequence header."""
-    bit = random.Random(seed).randrange(bitio.SEQ_HEADER_SIZE * 8, len(data) * 8)
-    out = bytearray(data)
-    out[bit // 8] ^= 1 << (bit % 8)
-    return bytes(out)
-
-
 def test_corrupt_payload_error_on_both_backends(corpus_cache):
-    """Baseline of today's behaviour: inline raises the parser's own error,
-    the pool a DecodeError whose message names that error's class."""
+    """Both backends raise the parser's own error, and close() after a pool
+    error is prompt and leaves no worker behind."""
     blob, _ = corpus_cache.get("ipp_tex_8_loops")
     data = flip_bit(blob, seed=2)       # lands in picture 0's SAO syntax
     with pytest.raises(bitio.CorruptStreamError) as inline_error:
@@ -280,7 +287,7 @@ def test_corrupt_payload_error_on_both_backends(corpus_cache):
     dec = Decoder(seq, DecoderConfig(workers=2))
     try:
         t0 = time.perf_counter()
-        with pytest.raises(DecodeError, match=type(inline_error.value).__name__):
+        with pytest.raises(bitio.CorruptStreamError) as pool_error:
             for unit in units:
                 dec.feed(unit)
             dec.end_of_stream()
@@ -290,7 +297,9 @@ def test_corrupt_payload_error_on_both_backends(corpus_cache):
     finally:
         t0 = time.perf_counter()
         dec.close()
-    assert time.perf_counter() - t0 < 30
+    assert time.perf_counter() - t0 < 2
+    assert not any(w.is_alive() for w in dec._workers)
+    assert str(pool_error.value) == str(inline_error.value)
 
 
 def test_scalar_vector_decode_equal(corpus_cache):
@@ -342,27 +351,27 @@ def test_all_intra_profile_has_zero_inter(corpus_cache):
 
 def serial_filter_oracle(blob):
     """Whole-picture filtering with scalar kernels, independent of bands."""
-    from tvc.bitio import parse_picture_header, parse_sequence_header, read_picture_unit
     from tvc.kernels.filters import lmcs_build_inverse
-    from tvc.pipeline import exec as ex
-    from tvc.reconstruct import PictureBuffers, ReconContext, reconstruct_ctu
+    from tvc.reconstruct import (PictureBuffers, ReconContext, compute_mc_prediction,
+                                 reconstruct_ctu)
 
-    seq = parse_sequence_header(blob[:18])
+    seq, units = bitio.split_container(blob)
     kset = KernelSet(simd=True)
-    offset = 18
     prev = None
     out_frames = []
-    for _ in range(seq.frame_count):
-        unit, offset = read_picture_unit(blob, offset)
-        header, payload = parse_picture_header(unit, seq)
+    for unit in units:
+        header, payload = bitio.parse_picture_header(unit, seq)
         params = params_from_headers(seq, header)
-        ctus, _ = ex.parse_picture_payload(payload, params)
+        ctus, _ = parse_picture_payload(payload, params)
         bufs = PictureBuffers(seq)
         lut = (lmcs_build_inverse(header.lmcs_counts, seq.bit_depth)
                if header.lmcs_counts else None)
         ctx = ReconContext(pic=params, kernels=kset, bufs=bufs, ref_bufs=prev,
                            lmcs_lut=lut)
         for ctu in ctus:
+            for cu in ctu.cus:
+                if cu.mode == MODE_INTER:
+                    compute_mc_prediction(cu, ctx)
             reconstruct_ctu(ctu, ctx)
         meta = build_boundary_meta(ctus, params)
         comps = bufs.comp_names()
