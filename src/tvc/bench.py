@@ -116,12 +116,11 @@ def decode_fps(data: bytes, config: DecoderConfig) -> float:
     return n / dt
 
 
-def bench_decode(data: bytes, stream_name: str, workers_list,
-                 simd: bool = True) -> list[DecodeRow]:
+def bench_decode(data: bytes, stream_name: str, workers_list) -> list[DecodeRow]:
     rows = []
     base_fps = None
     for w in workers_list:
-        fps = decode_fps(data, DecoderConfig(workers=w, simd=simd))
+        fps = decode_fps(data, DecoderConfig(workers=w))
         if base_fps is None:
             base_fps = fps
         rows.append(DecodeRow(stream=stream_name, workers=w, fps=fps,
@@ -129,9 +128,10 @@ def bench_decode(data: bytes, stream_name: str, workers_list,
     return rows
 
 
-def bench_stages(data: bytes, workers: int = 1, simd: bool = True) -> list[StageRow]:
+def bench_stages(data: bytes) -> list[StageRow]:
+    """Stage shares of one inline decode."""
     seq, units = split_container(data)
-    with Decoder(seq, DecoderConfig(workers=workers, simd=simd, profiling=True)) as dec:
+    with Decoder(seq, DecoderConfig(profiling=True)) as dec:
         for unit in units:
             dec.feed(unit)
         dec.end_of_stream()

@@ -203,8 +203,6 @@ def main_bench(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="tvcbench", description="TVC benchmark harness")
     ap.add_argument("--kernels", default="all",
                     help="'all', 'none', or comma list of kernel names")
-    ap.add_argument("--sizes", default="",
-                    help="restrict kernel block sizes, e.g. '8,16'")
     ap.add_argument("--iters", type=int, default=5)
     ap.add_argument("--bitdepths", default="8,10")
     ap.add_argument("--streams", default="", help="comma list of .tvc files for scaling runs")
@@ -225,14 +223,8 @@ def main_bench(argv=None) -> int:
                     _err(f"unknown kernel {name!r}")
                     return EXIT_FORMAT
             bds = tuple(int(b) for b in args.bitdepths.split(","))
-            if args.sizes:
-                bench_mod.K.SIZE_POOL = tuple(
-                    int(s) for s in args.sizes.split(",") if s.strip())
-            try:
-                report.kernels = bench_mod.bench_kernels(names, iters=args.iters,
-                                                         bit_depths=bds)
-            finally:
-                bench_mod.K.SIZE_POOL = None
+            report.kernels = bench_mod.bench_kernels(names, iters=args.iters,
+                                                     bit_depths=bds)
         workers = [int(w) for w in args.threads.split(",") if w.strip()]
         for path in [p for p in args.streams.split(",") if p.strip()]:
             data = _read_file(path)

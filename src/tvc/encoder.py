@@ -1,9 +1,9 @@
 """Test-stream encoder: rate-unaware mode decisions over the decoder kernels.
 
 The encoder's reconstruction runs the exact decoder code path (per CU in
-mode decisions, reconstruct_ctu + execute_filter_row per picture), so its
-returned reconstruction is bit-identical to what any conforming decode of
-the emitted stream yields.
+mode decisions, reconstruct_ctu per CTU, then the decoder's loop-filter
+stages one at a time over the picture), so its returned reconstruction is
+bit-identical to what any conforming decode of the emitted stream yields.
 Mode decisions minimize SSD + lambda * bits with a rough bit estimate;
 lambda = 0.57 * 2^((qp - 12) / 3).
 """
@@ -30,10 +30,10 @@ from .bitio import (
 )
 from .kernels import KernelSet
 from .kernels.filters import (
-    SAO_EDGE_NEIGHBORS,
     alf_block_vector,
     ccalf_block_vector,
     lmcs_build_inverse,
+    sao_edge_class,
 )
 from .kernels.transforms import KIND_DCT2, mts_kinds
 from .pipeline.decoder import params_from_headers
@@ -41,17 +41,17 @@ from .reconstruct import (
     FilterContext,
     PictureBuffers,
     ReconContext,
-    _avail_fn,
     _residual_block,
+    alf_row,
     apply_lmcs_ctu,
-    build_boundary_meta,
+    ccalf_row,
     compute_mc_prediction,
-    deblock_band,
-    execute_filter_row,
+    deblock_row,
     gather_intra_refs,
     predict_cu,
     reconstruct_ctu,
     reconstruct_cu,
+    sao_row,
 )
 from .syntax import (
     CtxBank,
@@ -104,7 +104,6 @@ class EncoderConfig:
     ctu_size: int = 64
     lmcs_table: str = "identity"    # "identity" or "contrast"
     frames: int | None = None
-    simd: bool = True
     effort: str = "normal"          # "fast" skips quadtree/MTS search (bench streams)
 
     def validate(self) -> None:
@@ -220,7 +219,7 @@ class _PictureEncoder:
                 self.progress = ReconProgress(
                     self.seq.width, self.seq.height, cs, r, c
                 )
-                self.avail = _avail_fn(self.params, r, c, self.progress.done)
+                self.avail = self.progress.sample_available
                 cus: list[ParsedCu] = []
                 self.quadtree_decide(Rect(c * cs, r * cs, cs, cs), 0, cus)
                 if self.lut is not None:
@@ -489,7 +488,7 @@ class Encoder:
             frame_count=0, tool_flags=config.tool_flags, max_mv_y=MAX_MV_Y,
         )
         self.seq.validate()
-        self.kset = KernelSet(simd=config.simd)
+        self.kset = KernelSet()
 
     def encode_sequence(self, frames) -> tuple[bytes, list[list[np.ndarray]]]:
         """Encode raw frames; returns (container bytes, reconstruction frames)."""
@@ -509,8 +508,7 @@ class Encoder:
             pe = _PictureEncoder(self, header, frame, prev_bufs)
             pe.encode_picture()
             self._authoritative_recon(pe)
-            self._choose_filters(pe)
-            self._run_filters(pe)
+            self._filter_picture(pe)
             unit = self._serialize(pe)
             units.append(unit)
             recons.append([
@@ -564,116 +562,76 @@ class Encoder:
 
     # ------------------------------------------------------------- filters
 
-    def _choose_filters(self, pe: _PictureEncoder) -> None:
-        params = pe.params
-        bufs = pe.bufs
-        comps = bufs.comp_names()
-        # deblock into the dblk planes (whole picture, via the shared band code)
-        meta = build_boundary_meta(pe.ctus, params)
-        for comp in comps:
-            scale = 1 if comp == "y" else 2
-            bufs.get(comp, "dblk")[:] = bufs.get(comp, "recon")
-        if params.has_tool(TOOL_DBLK):
-            for comp in comps:
-                scale = 1 if comp == "y" else 2
-                deblock_band(bufs, comp, meta, params, 0,
-                             bufs.get(comp, "dblk").shape[0], self.kset)
+    def _filter_picture(self, pe: _PictureEncoder) -> None:
+        """Run the decoder's loop-filter stages one at a time over every CTU
+        row, each decision taken on the planes the stages before it wrote."""
+        params, header = pe.params, pe.header
+
+        def run(stage) -> None:
+            fctx = FilterContext.from_ctus(
+                pe.ctus, params,
+                alf_coeffs=tuple(header.alf_coeffs) if header.alf_coeffs else None,
+                ccalf_coeffs=tuple(map(tuple, header.ccalf_coeffs))
+                if header.ccalf_coeffs else None,
+            )
+            for r in range(pe.rows):
+                stage(r, pe.bufs, fctx, self.kset)
+
+        run(deblock_row)
         if params.has_tool(TOOL_SAO):
             for ctu in pe.ctus:
                 ctu.sao = [
                     self.pick_sao_params(pe, ctu, p) for p in range(params.num_planes)
                 ]
-        # apply SAO whole-picture for ALF/CCALF decision support
-        for ci, comp in enumerate(comps):
-            scale = 1 if comp == "y" else 2
-            dblk = bufs.get(comp, "dblk")
-            sao = bufs.get(comp, "sao")
-            if not params.has_tool(TOOL_SAO):
-                sao[:] = dblk
-                continue
-            ccs = params.ctu_size // scale
-            for ctu in pe.ctus:
-                pr = ctu.sao[ci]
-                x0, y0 = ctu.col * ccs, ctu.row * ccs
-                x1 = min(x0 + ccs, dblk.shape[1])
-                y1 = min(y0 + ccs, dblk.shape[0])
-                sao[y0:y1, x0:x1] = self.kset.sao_block(
-                    dblk, x0, y0, x1 - x0, y1 - y0, pr.mode, pr.band_start,
-                    pr.eo_class, pr.offsets, params.bit_depth)
+        run(sao_row)
         self.select_alf(pe)
+        run(alf_row)
         self.select_ccalf(pe)
+        run(ccalf_row)
 
     def pick_sao_params(self, pe: _PictureEncoder, ctu: ParsedCtu, p: int) -> SaoParams:
-        params = pe.params
-        scale = 1 if p == 0 else 2
-        ccs = params.ctu_size // scale
-        comp = ("y", "u", "v")[p]
-        dblk = pe.bufs.get(comp, "dblk")
+        """Lowest-SSD SAO of one CTU plane, from per-category statistics of
+        its deblocked samples: an offset o on n samples whose errors sum to e
+        changes the SSD by o*o*n - 2*o*e (Fu et al., "Sample Adaptive Offset
+        in the HEVC Standard", IEEE TCSVT 22(12), 2012)."""
+        ccs = pe.params.ctu_size // (1 if p == 0 else 2)
+        dblk = pe.bufs.get(("y", "u", "v")[p], "dblk")
         x0, y0 = ctu.col * ccs, ctu.row * ccs
-        x1 = min(x0 + ccs, dblk.shape[1])
-        y1 = min(y0 + ccs, dblk.shape[0])
-        src = pe.comp_source(p)[y0:y1, x0:x1].astype(np.int64)
-        base = dblk[y0:y1, x0:x1].astype(np.int64)
-        err = src - base
+        w = min(ccs, dblk.shape[1] - x0)
+        h = min(ccs, dblk.shape[0] - y0)
+        base = dblk[y0 : y0 + h, x0 : x0 + w].astype(np.int64)
+        err = (pe.comp_source(p)[y0 : y0 + h, x0 : x0 + w] - base).ravel()
         base_ssd = int((err * err).sum())
         best = (base_ssd, SaoParams())
 
-        def offsets_for(cat: np.ndarray, n_cats: int):
-            offs = []
-            for k in range(n_cats):
-                mask = cat == k
-                n = int(mask.sum())
-                if n == 0:
-                    offs.append(0)
-                    continue
-                mean = float(err[mask].sum()) / n
-                offs.append(max(-31, min(31, int(mean))))
-            return offs
+        def stats(idx: np.ndarray, n_cats: int) -> tuple[list[int], list[int]]:
+            """Sample count and error sum per category (exact in float64)."""
+            counts = np.bincount(idx, minlength=n_cats).tolist()
+            sums = np.bincount(idx, weights=err, minlength=n_cats)
+            return counts, [int(e) for e in sums]
 
-        def gain(cat: np.ndarray, offs) -> int:
-            total = base_ssd
-            for k, o in enumerate(offs):
-                if o == 0:
-                    continue
-                mask = cat == k
-                e = err[mask]
-                total += int((o * o) * mask.sum() - 2 * o * e.sum())
-            return total
+        def decide(counts, sums) -> tuple[int, tuple[int, ...]]:
+            offs = tuple(max(-31, min(31, int(e / n))) if n else 0
+                         for n, e in zip(counts, sums))
+            ssd = base_ssd + sum(o * o * n - 2 * o * e
+                                 for o, n, e in zip(offs, counts, sums))
+            return ssd, offs
 
-        # band mode: best start over 32 positions
-        band = (base >> (params.bit_depth - 5)).astype(np.int32)
+        counts, sums = stats((base >> (pe.params.bit_depth - 5)).ravel(), 32)
         for start in range(32):
-            cat = np.full(band.shape, -1, dtype=np.int32)
-            for k in range(4):
-                cat[band == ((start + k) % 32)] = k
-            offs = offsets_for(np.where(cat < 0, 4, cat), 4)
-            ssd = gain(np.where(cat < 0, 99, cat), offs)
+            bands = [(start + k) % 32 for k in range(4)]
+            ssd, offs = decide([counts[b] for b in bands], [sums[b] for b in bands])
             if ssd < best[0]:
                 best = (ssd, SaoParams(mode=syntax.SAO_BAND, band_start=start,
-                                       offsets=tuple(offs)))
-        # edge modes
-        ph, pw = dblk.shape
+                                       offsets=offs))
         for eo in range(4):
-            (dya, dxa), (dyb, dxb) = SAO_EDGE_NEIGHBORS[eo]
-            ys = np.arange(y0, y1)[:, None]
-            xs = np.arange(x0, x1)[None, :]
-            ay, ax = ys + dya, xs + dxa
-            by, bx = ys + dyb, xs + dxb
-            valid = ((ay >= 0) & (ay < ph) & (ax >= 0) & (ax < pw)
-                     & (by >= 0) & (by < ph) & (bx >= 0) & (bx < pw))
-            a = dblk[np.clip(ay, 0, ph - 1), np.clip(ax, 0, pw - 1)].astype(np.int64)
-            b = dblk[np.clip(by, 0, ph - 1), np.clip(bx, 0, pw - 1)].astype(np.int64)
-            c = np.sign(base - a) + np.sign(base - b)
-            cat = np.full(c.shape, 99, dtype=np.int32)
-            cat[(c == -2) & valid] = 0
-            cat[(c == -1) & valid] = 1
-            cat[(c == 1) & valid] = 2
-            cat[(c == 2) & valid] = 3
-            offs = offsets_for(cat, 4)
-            ssd = gain(cat, offs)
+            _, cat = sao_edge_class(dblk, x0, y0, w, h, eo)
+            counts, sums = stats((cat + 2).ravel(), 5)
+            ssd, offs = decide([counts[k] for k in (0, 1, 3, 4)],
+                               [sums[k] for k in (0, 1, 3, 4)])
             if ssd < best[0]:
                 best = (ssd, SaoParams(mode=syntax.SAO_EDGE, eo_class=eo,
-                                       offsets=tuple(offs)))
+                                       offsets=offs))
         return best[1]
 
     def select_alf(self, pe: _PictureEncoder) -> None:
@@ -719,22 +677,10 @@ class Encoder:
         params = pe.params
         if not (params.has_tool(TOOL_CCALF) and params.num_planes == 3):
             return
-        # CCALF reads ALF-filtered luma: approximate with the ALF decision output
-        cs = params.ctu_size
-        luma_alf = pe.bufs.get("y", "sao").copy()
-        if pe.params.alf_present:
-            for ctu in pe.ctus:
-                if not ctu.alf_flag:
-                    continue
-                x0, y0 = ctu.col * cs, ctu.row * cs
-                x1 = min(x0 + cs, params.width)
-                y1 = min(y0 + cs, params.height)
-                luma_alf[y0:y1, x0:x1] = alf_block_vector(
-                    pe.bufs.get("y", "sao"), x0, y0, x1 - x0, y1 - y0,
-                    tuple(pe.header.alf_coeffs), params.bit_depth)
+        y_final = pe.bufs.get("y", "final")          # ALF output, as CCALF reads it
         chosen: list[tuple | None] = [None, None]
         all_flags = [{}, {}]
-        ccs = cs // 2
+        ccs = params.ctu_size // 2
         for p, comp in enumerate(("u", "v")):
             sao_c = pe.bufs.get(comp, "sao")
             src = pe.comp_source(p + 1)
@@ -749,7 +695,7 @@ class Encoder:
                     ref = src[y0:y1, x0:x1]
                     off_ssd = _ssd(sao_c[y0:y1, x0:x1], ref)
                     if any(cand):
-                        flt = ccalf_block_vector(sao_c, luma_alf, x0, y0,
+                        flt = ccalf_block_vector(sao_c, y_final, x0, y0,
                                                  x1 - x0, y1 - y0, cand,
                                                  params.bit_depth)
                         on_ssd = _ssd(flt, ref)
@@ -776,17 +722,6 @@ class Encoder:
                 all_flags[0].get((ctu.row, ctu.col), 0),
                 all_flags[1].get((ctu.row, ctu.col), 0),
             )
-
-    def _run_filters(self, pe: _PictureEncoder) -> None:
-        """Authoritative banded filter pass, identical to the decoder's."""
-        fctx = FilterContext.from_ctus(
-            pe.ctus, pe.params,
-            alf_coeffs=tuple(pe.header.alf_coeffs) if pe.header.alf_coeffs else None,
-            ccalf_coeffs=tuple(map(tuple, pe.header.ccalf_coeffs))
-            if pe.header.ccalf_coeffs else None,
-        )
-        for r in range(pe.rows):
-            execute_filter_row(r, pe.bufs, fctx, self.kset)
 
     def _serialize(self, pe: _PictureEncoder) -> bytes:
         enc = RangeEncoder()

@@ -71,19 +71,6 @@ class KernelSet:
         self.lmcs_apply = pick(lmcs_apply_scalar, lmcs_apply_vector)
 
 
-# optional global restriction of block sizes used by input generators
-# (tvcbench --sizes); None means each generator's builtin pool
-SIZE_POOL: tuple[int, ...] | None = None
-
-
-def _pick_size(rng: random.Random, pool) -> int:
-    if SIZE_POOL:
-        allowed = [s for s in pool if s in SIZE_POOL]
-        if allowed:
-            return rng.choice(allowed)
-    return rng.choice(pool)
-
-
 def _plane(rng: random.Random, h: int, w: int, bit_depth: int, wide: bool) -> np.ndarray:
     dtype = np.uint8 if (bit_depth == 8 and not wide) else np.uint16
     data = [[rng.randrange(1 << bit_depth) for _ in range(w)] for _ in range(h)]
@@ -91,7 +78,7 @@ def _plane(rng: random.Random, h: int, w: int, bit_depth: int, wide: bool) -> np
 
 
 def _gen_intra(rng, bd, wide):
-    n = _pick_size(rng, (4, 8, 16, 32))
+    n = rng.choice((4, 8, 16, 32))
     mode = rng.randrange(4)
     top = _plane(rng, 1, 2 * n + 1, bd, wide)[0]
     left = _plane(rng, 1, 2 * n + 1, bd, wide)[0]
@@ -99,8 +86,8 @@ def _gen_intra(rng, bd, wide):
 
 
 def _gen_inter(rng, bd, wide):
-    h = _pick_size(rng, (8, 16))
-    w = _pick_size(rng, (8, 16))
+    h = rng.choice((8, 16))
+    w = rng.choice((8, 16))
     ref = _plane(rng, h + 24, w + 24, bd, wide)
     mv = (rng.randint(-4 * 6, 4 * 6), rng.randint(-4 * 6, 4 * 6))
     return (ref, mv, 10, 10, w, h, bd)
@@ -119,7 +106,7 @@ def _gen_ibc(rng, bd, wide):
 
 
 def _gen_bdpcm(rng, bd, wide):
-    n = _pick_size(rng, (4, 8, 16))
+    n = rng.choice((4, 8, 16))
     lv = np.array(
         [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)], dtype=np.int16
     )
@@ -128,7 +115,7 @@ def _gen_bdpcm(rng, bd, wide):
 
 
 def _gen_dequant(rng, bd, wide):
-    n = _pick_size(rng, (4, 8, 16))
+    n = rng.choice((4, 8, 16))
     lv = np.array(
         [[rng.randint(-2000, 2000) for _ in range(n)] for _ in range(n)],
         dtype=np.int16,
@@ -137,7 +124,7 @@ def _gen_dequant(rng, bd, wide):
 
 
 def _gen_quant(rng, bd, wide):
-    n = _pick_size(rng, (4, 8, 16))
+    n = rng.choice((4, 8, 16))
     c = np.array(
         [[rng.randint(-30000, 30000) for _ in range(n)] for _ in range(n)],
         dtype=np.int32,
@@ -146,7 +133,7 @@ def _gen_quant(rng, bd, wide):
 
 
 def _gen_itx(rng, bd, wide):
-    n = _pick_size(rng, (4, 4, 8, 8, 8, 16, 16, 32))
+    n = rng.choice((4, 4, 8, 8, 8, 16, 16, 32))
     c = np.array(
         [[rng.randint(-4000, 4000) for _ in range(n)] for _ in range(n)],
         dtype=np.int16,
@@ -155,7 +142,7 @@ def _gen_itx(rng, bd, wide):
 
 
 def _gen_ftx(rng, bd, wide):
-    n = _pick_size(rng, (4, 4, 8, 8, 8, 16, 16, 32))
+    n = rng.choice((4, 4, 8, 8, 8, 16, 16, 32))
     r = np.array(
         [[rng.randint(-(1 << bd) + 1, (1 << bd) - 1) for _ in range(n)] for _ in range(n)],
         dtype=np.int32,
@@ -164,7 +151,7 @@ def _gen_ftx(rng, bd, wide):
 
 
 def _gen_iqit(rng, bd, wide):
-    n = _pick_size(rng, (4, 4, 8, 8, 8, 16, 16, 32))
+    n = rng.choice((4, 4, 8, 8, 8, 16, 16, 32))
     lv = np.array(
         [[rng.randint(-300, 300) for _ in range(n)] for _ in range(n)], dtype=np.int16
     )

@@ -179,31 +179,40 @@ def sao_block_scalar(src: np.ndarray, x0: int, y0: int, w: int, h: int,
     return out
 
 
+def sao_edge_class(src: np.ndarray, x0: int, y0: int, w: int, h: int,
+                   eo_class: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge-offset classification of one region: its samples as int32 and
+    each sample's category sign(s - a) + sign(s - b), in [-2, 2].
+
+    The category is 0 (unfiltered) where a neighbour lies outside the plane.
+    """
+    ph, pw = src.shape
+    win = _window(src, y0 - 1, y0 + h + 1, x0 - 1, x0 + w + 1).astype(np.int32)
+    block = win[1 : h + 1, 1 : w + 1]
+    (dya, dxa), (dyb, dxb) = SAO_EDGE_NEIGHBORS[eo_class]
+    a = win[1 + dya : 1 + dya + h, 1 + dxa : 1 + dxa + w]
+    b = win[1 + dyb : 1 + dyb + h, 1 + dxb : 1 + dxb + w]
+    cat = np.sign(block - a) + np.sign(block - b)
+    for dy, dx in SAO_EDGE_NEIGHBORS[eo_class]:
+        if y0 + dy < 0:
+            cat[:1] = 0
+        if y0 + h + dy > ph:
+            cat[-1:] = 0
+        if x0 + dx < 0:
+            cat[:, :1] = 0
+        if x0 + w + dx > pw:
+            cat[:, -1:] = 0
+    return block, cat
+
+
 def sao_block_vector(src: np.ndarray, x0: int, y0: int, w: int, h: int,
                      mode: int, band_start: int, eo_class: int,
                      offsets, bit_depth: int) -> np.ndarray:
     smax = _smax(bit_depth)
     if mode == SAO_EDGE:
-        ph, pw = src.shape
-        win = _window(src, y0 - 1, y0 + h + 1, x0 - 1, x0 + w + 1).astype(np.int32)
-        block = win[1 : h + 1, 1 : w + 1]
-        (dya, dxa), (dyb, dxb) = SAO_EDGE_NEIGHBORS[eo_class]
-        a = win[1 + dya : 1 + dya + h, 1 + dxa : 1 + dxa + w]
-        b = win[1 + dyb : 1 + dyb + h, 1 + dxb : 1 + dxb + w]
-        cat = np.sign(block - a) + np.sign(block - b)
+        block, cat = sao_edge_class(src, x0, y0, w, h, eo_class)
         lut = np.array([offsets[0], offsets[1], 0, offsets[2], offsets[3]], dtype=np.int32)
-        out = np.clip(block + lut[cat + 2], 0, smax)
-        # border: a sample with a neighbor outside the plane stays unfiltered
-        for dy, dx in SAO_EDGE_NEIGHBORS[eo_class]:
-            if y0 + dy < 0:
-                out[:1] = block[:1]
-            if y0 + h + dy > ph:
-                out[-1:] = block[-1:]
-            if x0 + dx < 0:
-                out[:, :1] = block[:, :1]
-            if x0 + w + dx > pw:
-                out[:, -1:] = block[:, -1:]
-        return out
+        return np.clip(block + lut[cat + 2], 0, smax)
     block = src[y0 : y0 + h, x0 : x0 + w].astype(np.int32)
     if mode == SAO_OFF:
         return block

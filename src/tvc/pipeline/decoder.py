@@ -12,11 +12,13 @@ job becomes one message (``_job_message``) that ``exec.run_job`` executes.
 
 P pictures motion-compensate in one "mcpre" job per inter CU, the only jobs
 gated on the reference's finalized rows.  A job's exception reaches the
-caller unchanged on both backends.
+caller unchanged on both backends; a worker that dies outside close() fails
+the decode with a DecodeError that names it.
 """
 from __future__ import annotations
 
 import multiprocessing as mp
+import multiprocessing.connection
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -152,6 +154,8 @@ class Decoder:
                 w.start()
             self._dispatch_thread = threading.Thread(target=self._dispatch_loop, daemon=True)
             self._dispatch_thread.start()
+            self._watch_thread = threading.Thread(target=self._watch_workers, daemon=True)
+            self._watch_thread.start()
 
     # ------------------------------------------------------------------ feed
 
@@ -248,6 +252,18 @@ class Decoder:
                     self._push_ready()
                 except Exception as e:           # defect guard: fail loudly
                     self._fail(-1, f"dispatch failure on {msg!r:.200}: {e!r}")
+
+    def _watch_workers(self) -> None:
+        """Fail the decode as soon as a worker exits outside close(); returns
+        once every worker has exited."""
+        alive = {w.sentinel: w for w in self._workers}
+        while alive:
+            for sentinel in mp.connection.wait(list(alive)):
+                w = alive.pop(sentinel)
+                with self._cond:
+                    if not self.closed:
+                        self._fail(-1, f"worker {w.name} (pid {w.pid}) died "
+                                       f"with exit code {w.exitcode}")
 
     def _handle_done(self, key: tuple, payload) -> None:
         kind = key[0]
@@ -414,8 +430,12 @@ class Decoder:
                 if w.is_alive():
                     w.terminate()
                     w.join()
+            # no reader is left: tasks a dead pool never took must not hold
+            # up interpreter exit
+            self._task_q.cancel_join_thread()
             self._result_q.put(None)
             self._dispatch_thread.join(timeout=5)
+            self._watch_thread.join(timeout=5)
 
     def __enter__(self) -> "Decoder":
         return self

@@ -9,7 +9,9 @@ Filtering is organized in CTU-row bands with staged planes
 (recon -> dblk -> sao -> final).  Band r writes each stage only up to the
 row that stage's support allows; the remainder is completed by band r+1.
 Finalized rows advance to (r+1)*ctu_size - 8, inside every stage's stable
-region.
+region.  Each stage is one function of (row, bufs, fctx, kset): the decoder
+runs all four per band (``execute_filter_row``); the encoder runs each over
+every row before it takes the decision the next stage reads.
 """
 from __future__ import annotations
 
@@ -145,24 +147,6 @@ class _Clock:
 # intra reference assembly
 
 
-def _avail_fn(pic: PicParams, row: int, col: int, coded: np.ndarray):
-    """Availability of a luma-coordinate sample for intra reference use."""
-    cs = pic.ctu_size
-    w, h = pic.width, pic.height
-
-    def avail(px: int, py: int) -> bool:
-        if px < 0 or py < 0 or px >= w or py >= h:
-            return False
-        r, c = py // cs, px // cs
-        if r == row and c == col:
-            return bool(coded[(py - r * cs) // 8, (px - c * cs) // 8])
-        if r < row:
-            return c <= col + (row - r)
-        return r == row and c < col
-
-    return avail
-
-
 def gather_intra_refs(plane: np.ndarray, rect: Rect, scale: int, mid: int,
                       avail) -> tuple[np.ndarray, np.ndarray]:
     """Build top/left reference arrays of length 2n+1 (corner at index 0).
@@ -289,16 +273,13 @@ def apply_lmcs_ctu(ctx: ReconContext, row: int, col: int) -> None:
 def reconstruct_ctu(ctu: ParsedCtu, ctx: ReconContext) -> None:
     """Reconstruct one CTU's samples into the recon planes, in CU parse order.
     Its inter CUs' MC must be staged first; the reference is never read."""
-    cs = ctx.pic.ctu_size
+    pic = ctx.pic
     planes = [ctx.bufs.get(comp, "recon") for comp in ctx.bufs.comp_names()]
-    coded = np.zeros((cs // 8, cs // 8), dtype=bool)
-    avail = _avail_fn(ctx.pic, ctu.row, ctu.col, coded)
+    progress = syntax.ReconProgress(pic.width, pic.height, pic.ctu_size, ctu.row, ctu.col)
     clock = _Clock(ctx.profile)
-    y0, x0 = ctu.row * cs, ctu.col * cs
     for cu in ctu.cus:
-        reconstruct_cu(cu, ctx, planes, avail, clock)
-        r = cu.rect
-        coded[(r.y - y0) // 8 : (r.y1 - y0) // 8, (r.x - x0) // 8 : (r.x1 - x0) // 8] = True
+        reconstruct_cu(cu, ctx, planes, progress.sample_available, clock)
+        progress.mark_cu(cu.rect)
     if ctx.lmcs_lut is not None:
         apply_lmcs_ctu(ctx, ctu.row, ctu.col)
         clock.lap("lmcs")
@@ -480,16 +461,10 @@ class FilterContext:
 def band_limits(row: int, n_rows: int, cs: int, height: int) -> dict[str, tuple[int, int]]:
     """Per-stage [start, end) row ranges for filter band ``row`` (luma units)."""
     last = row == n_rows - 1
-
-    def stage(margin: int) -> tuple[int, int]:
-        end = height if last else max(0, (row + 1) * cs - margin)
-        start = 0 if row == 0 else max(0, row * cs - margin)
-        return start, end
-
     return {
         "dblk": (row * cs, min((row + 1) * cs, height)),
-        "sao": stage(2),
-        "alf": stage(4),
+        "alf": (0 if row == 0 else row * cs - 4,
+                height if last else (row + 1) * cs - 4),
         "final": (0 if row == 0 else row * cs - GUARD_ROWS,
                   height if last else (row + 1) * cs - GUARD_ROWS),
     }
@@ -507,48 +482,43 @@ def _per_ctu_spans(y0: int, y1: int, cs: int):
     return out
 
 
-def execute_filter_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
-                       kset: KernelSet, profile: Profile | None = None) -> int:
-    """Run DBLK -> SAO -> ALF -> CCALF over CTU row ``row``'s finalizable band.
+def _grid(pic: PicParams) -> tuple[int, int]:
+    """(CTU rows, CTU columns) of a picture."""
+    cs = pic.ctu_size
+    return (pic.height + cs - 1) // cs, (pic.width + cs - 1) // cs
 
-    Returns the new finalized luma row count.
+
+def deblock_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
+                kset: KernelSet) -> None:
+    """Copy CTU row ``row`` from recon to dblk, then filter its edges."""
+    pic = fctx.pic
+    d0, d1 = band_limits(row, _grid(pic)[0], pic.ctu_size, pic.height)["dblk"]
+    for comp in bufs.comp_names():
+        scale = 1 if comp == "y" else 2
+        b0, b1 = d0 // scale, -(-d1 // scale)
+        bufs.get(comp, "dblk")[b0:b1] = bufs.get(comp, "recon")[b0:b1]
+        if pic.has_tool(TOOL_DBLK):
+            deblock_band(bufs, comp, fctx.meta, pic, b0, b1, kset)
+
+
+def sao_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
+            kset: KernelSet) -> None:
+    """SAO over band ``row``'s stable rows, dblk -> sao.
+
+    Params follow the CTU that owns each row; the 2-row support margin
+    applies in each plane's own sample units.
     """
     pic = fctx.pic
-    cs = pic.ctu_size
-    n_rows = (pic.height + cs - 1) // cs
-    n_cols = (pic.width + cs - 1) // cs
-    lim = band_limits(row, n_rows, cs, pic.height)
-    clock = _Clock(profile)
-    comps = ["y"] if pic.num_planes == 1 else ["y", "u", "v"]
-
-    # deblock: copy recon band then filter edges (or plain copy when off)
-    for comp in comps:
-        scale = 1 if comp == "y" else 2
-        b0, b1 = lim["dblk"][0] // scale, -(-lim["dblk"][1] // scale)
-        recon = bufs.get(comp, "recon")
-        dblk = bufs.get(comp, "dblk")
-        dblk[b0:b1] = recon[b0:b1]
-    if pic.has_tool(TOOL_DBLK):
-        for comp in comps:
-            scale = 1 if comp == "y" else 2
-            b0, b1 = lim["dblk"][0] // scale, -(-lim["dblk"][1] // scale)
-            deblock_band(bufs, comp, fctx.meta, pic, b0, b1, kset)
-    clock.lap("dblk")
-
-    # SAO over its stable band, per CTU (params follow the CTU that owns each
-    # row); the 2-row support margin applies in each plane's own sample units
-    for comp_idx, comp in enumerate(comps):
-        scale = 1 if comp == "y" else 2
+    n_rows, n_cols = _grid(pic)
+    for comp_idx, comp in enumerate(bufs.comp_names()):
         dblk = bufs.get(comp, "dblk")
         sao = bufs.get(comp, "sao")
-        csc = cs // scale
-        last = row == n_rows - 1
-        s0 = 0 if row == 0 else max(0, row * csc - 2)
-        s1 = dblk.shape[0] if last else max(0, (row + 1) * csc - 2)
+        ccs = pic.ctu_size // (1 if comp == "y" else 2)
+        s0 = 0 if row == 0 else max(0, row * ccs - 2)
+        s1 = dblk.shape[0] if row == n_rows - 1 else max(0, (row + 1) * ccs - 2)
         if not pic.has_tool(TOOL_SAO):
             sao[s0:s1] = dblk[s0:s1]
             continue
-        ccs = cs // scale
         for r, ys, ye in _per_ctu_spans(s0, s1, ccs):
             for c in range(n_cols):
                 params = fctx.sao[(r, c)][comp_idx]
@@ -559,12 +529,17 @@ def execute_filter_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
                     params.band_start, params.eo_class, params.offsets,
                     pic.bit_depth,
                 )
-    clock.lap("sao")
 
-    # ALF (luma) into the final plane
+
+def alf_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
+            kset: KernelSet) -> None:
+    """Luma ALF over band ``row``'s stable rows, sao -> final."""
+    pic = fctx.pic
+    cs = pic.ctu_size
+    n_rows, n_cols = _grid(pic)
     y_sao = bufs.get("y", "sao")
     y_final = bufs.get("y", "final")
-    a0, a1 = lim["alf"]
+    a0, a1 = band_limits(row, n_rows, cs, pic.height)["alf"]
     use_alf = pic.has_tool(TOOL_ALF) and fctx.alf_coeffs is not None
     for r, ys, ye in _per_ctu_spans(a0, a1, cs):
         for c in range(n_cols):
@@ -577,29 +552,48 @@ def execute_filter_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
                 )
             else:
                 y_final[ys:ye, x0:x1] = y_sao[ys:ye, x0:x1]
-    clock.lap("alf")
 
-    # chroma final: CCALF refinement from ALF-filtered luma (or SAO copy)
-    if pic.num_planes == 3:
-        use_ccalf = pic.has_tool(TOOL_CCALF) and fctx.ccalf_coeffs is not None
-        last = row == n_rows - 1
-        c1 = pic.height // 2 if last else ((row + 1) * cs - 6) // 2
-        c0 = 0 if row == 0 else (row * cs - 6) // 2
-        ccs = cs // 2
-        for p, comp in enumerate(("u", "v")):
-            c_sao = bufs.get(comp, "sao")
-            c_final = bufs.get(comp, "final")
-            for r, ys, ye in _per_ctu_spans(c0, c1, ccs):
-                for c in range(n_cols):
-                    x0 = c * ccs
-                    x1 = min(x0 + ccs, c_sao.shape[1])
-                    if use_ccalf and fctx.ccalf_flags[(r, c)][p]:
-                        c_final[ys:ye, x0:x1] = kset.ccalf_block(
-                            c_sao, y_final, x0, ys, x1 - x0, ye - ys,
-                            fctx.ccalf_coeffs[p], pic.bit_depth,
-                        )
-                    else:
-                        c_final[ys:ye, x0:x1] = c_sao[ys:ye, x0:x1]
-    clock.lap("ccalf")
 
-    return lim["final"][1]
+def ccalf_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
+              kset: KernelSet) -> None:
+    """Chroma final over band ``row``: CCALF refinement from the ALF-filtered
+    luma, or a copy of the SAO output."""
+    pic = fctx.pic
+    if pic.num_planes != 3:
+        return
+    cs = pic.ctu_size
+    n_rows, n_cols = _grid(pic)
+    use_ccalf = pic.has_tool(TOOL_CCALF) and fctx.ccalf_coeffs is not None
+    c1 = pic.height // 2 if row == n_rows - 1 else ((row + 1) * cs - 6) // 2
+    c0 = 0 if row == 0 else (row * cs - 6) // 2
+    ccs = cs // 2
+    y_final = bufs.get("y", "final")
+    for p, comp in enumerate(("u", "v")):
+        c_sao = bufs.get(comp, "sao")
+        c_final = bufs.get(comp, "final")
+        for r, ys, ye in _per_ctu_spans(c0, c1, ccs):
+            for c in range(n_cols):
+                x0 = c * ccs
+                x1 = min(x0 + ccs, c_sao.shape[1])
+                if use_ccalf and fctx.ccalf_flags[(r, c)][p]:
+                    c_final[ys:ye, x0:x1] = kset.ccalf_block(
+                        c_sao, y_final, x0, ys, x1 - x0, ye - ys,
+                        fctx.ccalf_coeffs[p], pic.bit_depth,
+                    )
+                else:
+                    c_final[ys:ye, x0:x1] = c_sao[ys:ye, x0:x1]
+
+
+def execute_filter_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
+                       kset: KernelSet, profile: Profile | None = None) -> int:
+    """Run DBLK -> SAO -> ALF -> CCALF over CTU row ``row``'s finalizable band.
+
+    Returns the new finalized luma row count.
+    """
+    clock = _Clock(profile)
+    for name, stage in (("dblk", deblock_row), ("sao", sao_row),
+                        ("alf", alf_row), ("ccalf", ccalf_row)):
+        stage(row, bufs, fctx, kset)
+        clock.lap(name)
+    pic = fctx.pic
+    return band_limits(row, _grid(pic)[0], pic.ctu_size, pic.height)["final"][1]

@@ -182,7 +182,8 @@ def derive_mvp(mf: MotionField, rect: Rect) -> tuple[int, int]:
 
 
 class ReconProgress:
-    """Reconstruction-order state for IBC source validation.
+    """Reconstruction-order state for intra reference availability and IBC
+    source validation.
 
     Tracks the current CTU position plus an 8x8-cell done mask for the
     current CTU; every other CTU's availability follows from the wavefront
@@ -210,6 +211,17 @@ class ReconProgress:
         if r == self.row:
             return c < self.col
         return False
+
+    def sample_available(self, px: int, py: int) -> bool:
+        """Whether luma sample (px, py) is reconstructed before the next CU
+        of the current CTU: intra reference availability."""
+        if px < 0 or py < 0 or px >= self.pic_w or py >= self.pic_h:
+            return False
+        cs = self.ctu_size
+        r, c = py // cs, px // cs
+        if r == self.row and c == self.col:
+            return bool(self.done[(py - r * cs) // MV_GRID, (px - c * cs) // MV_GRID])
+        return self.ctu_guaranteed(r, c)
 
     def cells_done(self, x0: int, y0: int, x1: int, y1: int) -> bool:
         """All current-CTU 8x8 cells covering [x0,x1) x [y0,y1) reconstructed."""

@@ -188,7 +188,7 @@ def test_criterion_7_entropy_share_trend(corpus_cache):
     def entropy_share(blob):
         vals = []
         for _ in range(3):
-            rows = bench_stages(blob, workers=1)
+            rows = bench_stages(blob)
             vals.append(next(r.percent for r in rows if r.stage == "entropy"))
         return sum(vals) / len(vals)
 

@@ -215,6 +215,133 @@ def test_sao_band_mode_wins_on_banding_fixture():
     assert all(abs(o) <= 31 for o in chosen.offsets)
 
 
+def mask_sao_reference(dblk, source, x0, y0, ccs, bit_depth):
+    """The encoder's former SAO decision: one boolean mask per category and
+    candidate, edge neighbours gathered with clipped indices."""
+    from tvc.kernels.filters import SAO_EDGE_NEIGHBORS
+    from tvc.syntax import SAO_BAND, SAO_EDGE, SaoParams
+    x1 = min(x0 + ccs, dblk.shape[1])
+    y1 = min(y0 + ccs, dblk.shape[0])
+    src = source[y0:y1, x0:x1].astype(np.int64)
+    base = dblk[y0:y1, x0:x1].astype(np.int64)
+    err = src - base
+    base_ssd = int((err * err).sum())
+    best = (base_ssd, SaoParams())
+
+    def offsets_for(cat, n_cats):
+        offs = []
+        for k in range(n_cats):
+            mask = cat == k
+            n = int(mask.sum())
+            if n == 0:
+                offs.append(0)
+                continue
+            mean = float(err[mask].sum()) / n
+            offs.append(max(-31, min(31, int(mean))))
+        return offs
+
+    def gain(cat, offs):
+        total = base_ssd
+        for k, o in enumerate(offs):
+            if o == 0:
+                continue
+            mask = cat == k
+            total += int((o * o) * mask.sum() - 2 * o * err[mask].sum())
+        return total
+
+    band = (base >> (bit_depth - 5)).astype(np.int32)
+    for start in range(32):
+        cat = np.full(band.shape, -1, dtype=np.int32)
+        for k in range(4):
+            cat[band == ((start + k) % 32)] = k
+        offs = offsets_for(np.where(cat < 0, 4, cat), 4)
+        ssd = gain(np.where(cat < 0, 99, cat), offs)
+        if ssd < best[0]:
+            best = (ssd, SaoParams(mode=SAO_BAND, band_start=start, offsets=tuple(offs)))
+    ph, pw = dblk.shape
+    for eo in range(4):
+        (dya, dxa), (dyb, dxb) = SAO_EDGE_NEIGHBORS[eo]
+        ys = np.arange(y0, y1)[:, None]
+        xs = np.arange(x0, x1)[None, :]
+        ay, ax = ys + dya, xs + dxa
+        by, bx = ys + dyb, xs + dxb
+        valid = ((ay >= 0) & (ay < ph) & (ax >= 0) & (ax < pw)
+                 & (by >= 0) & (by < ph) & (bx >= 0) & (bx < pw))
+        a = dblk[np.clip(ay, 0, ph - 1), np.clip(ax, 0, pw - 1)].astype(np.int64)
+        b = dblk[np.clip(by, 0, ph - 1), np.clip(bx, 0, pw - 1)].astype(np.int64)
+        c = np.sign(base - a) + np.sign(base - b)
+        cat = np.full(c.shape, 99, dtype=np.int32)
+        cat[(c == -2) & valid] = 0
+        cat[(c == -1) & valid] = 1
+        cat[(c == 1) & valid] = 2
+        cat[(c == 2) & valid] = 3
+        offs = offsets_for(cat, 4)
+        ssd = gain(cat, offs)
+        if ssd < best[0]:
+            best = (ssd, SaoParams(mode=SAO_EDGE, eo_class=eo, offsets=tuple(offs)))
+    return best[1]
+
+
+def _sao_fixture_region(rng, kind, h, w, bit_depth):
+    """(deblocked, source) samples of one CTU region of the given kind."""
+    smax = (1 << bit_depth) - 1
+    scale = 1 << (bit_depth - 8)
+    if kind == "noise":
+        dblk = rng.integers(0, smax + 1, (h, w))
+        err = rng.integers(-9 * scale, 9 * scale + 1, (h, w))
+    elif kind == "flat":                # one band, no edges: ties everywhere
+        dblk = np.full((h, w), int(rng.integers(0, smax + 1)))
+        err = np.full((h, w), int(rng.choice([0, 0, -3, 5, -40, 40]) * scale))
+    else:                               # spiky ramp over a smooth source
+        ramp = np.linspace(0, smax // 2, w).astype(np.int64)[None, :].repeat(h, 0)
+        spikes = rng.integers(-12 * scale, 12 * scale + 1, (h, w)) * (rng.random((h, w)) < 0.3)
+        dblk = np.clip(ramp + spikes, 0, smax)
+        err = ramp - dblk
+    return dblk, np.clip(dblk + err, 0, smax)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_sao_decision_matches_mask_reference(bit_depth):
+    """Per-category statistics pick exactly the SaoParams the mask-based
+    search picked: CTUs inside and on every plane edge (partial ones on the
+    right and bottom), luma and chroma, zero-count categories and ties."""
+    from tvc.bitio import PictureHeader
+    from tvc.encoder import _PictureEncoder
+    from tvc.syntax import ParsedCtu
+    rng = np.random.default_rng(bit_depth)
+    w, h, cs = 152, 88, 32
+    enc = Encoder(w, h, bit_depth, 1, EncoderConfig(qp=30, gop="ai", ctu_size=cs,
+                                                   tool_flags=bitio.TOOL_SAO))
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    modes = set()
+    for _ in range(3):
+        dblk = [np.zeros((h, w), dtype), np.zeros((h // 2, w // 2), dtype),
+                np.zeros((h // 2, w // 2), dtype)]
+        source = [np.zeros_like(d) for d in dblk]
+        for p in range(3):
+            ccs = cs // (1 if p == 0 else 2)
+            for y0 in range(0, dblk[p].shape[0], ccs):
+                for x0 in range(0, dblk[p].shape[1], ccs):
+                    reg = np.s_[y0 : y0 + ccs, x0 : x0 + ccs]
+                    rh, rw = dblk[p][reg].shape
+                    kind = rng.choice(["noise", "flat", "spiky"])
+                    dblk[p][reg], source[p][reg] = _sao_fixture_region(
+                        rng, kind, rh, rw, bit_depth)
+        pe = _PictureEncoder(enc, PictureHeader(pic_type=0, poc=0, qp=30), source, None)
+        for p, comp in enumerate("yuv"):
+            pe.bufs.get(comp, "dblk")[:] = dblk[p]
+        for row in range(pe.rows):
+            for col in range(pe.cols):
+                ctu = ParsedCtu(row=row, col=col, cus=[], sao=[])
+                for p in range(3):
+                    ccs = cs // (1 if p == 0 else 2)
+                    want = mask_sao_reference(dblk[p], source[p], col * ccs, row * ccs,
+                                              ccs, bit_depth)
+                    assert enc.pick_sao_params(pe, ctu, p) == want, (row, col, p)
+                    modes.add(want.mode)
+    assert modes == {0, 1, 2}
+
+
 def test_sao_offsets_always_in_range(corpus_cache):
     for name in ("ipp_tex_8_loops", "ai_scc_8", "ipp_qp22_8"):
         blob, _ = corpus_cache.get(name)

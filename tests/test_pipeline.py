@@ -1,4 +1,7 @@
 """Pipeline tests: job graph, scheduler, gates, determinism, filter bands."""
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -16,6 +19,7 @@ from tvc.kernels.filters import (
     sao_block_scalar,
 )
 from tvc.pipeline import (
+    DecodeError,
     Decoder,
     DecoderConfig,
     build_job_graph,
@@ -302,6 +306,57 @@ def test_corrupt_payload_error_on_both_backends(corpus_cache):
     assert str(pool_error.value) == str(inline_error.value)
 
 
+def test_dead_worker_fails_fast(corpus_cache):
+    """A worker that dies outside close() fails the decode with a DecodeError
+    naming it, and close() afterwards is prompt and leaves no worker behind."""
+    blob, _ = corpus_cache.get("ipp_tex_8_loops")
+    seq, units = bitio.split_container(blob)
+    dec = Decoder(seq, DecoderConfig(workers=2))
+    try:
+        for w in dec._workers:
+            w.kill()
+        t0 = time.perf_counter()
+        with pytest.raises(DecodeError, match=r"worker \S+ \(pid \d+\) died"):
+            for unit in units:
+                dec.feed(unit)
+            dec.end_of_stream()
+            while dec.next_frame(timeout=30) is not None:
+                pass
+        assert time.perf_counter() - t0 < 2
+    finally:
+        t0 = time.perf_counter()
+        dec.close()
+    assert time.perf_counter() - t0 < 2
+    assert not any(w.is_alive() for w in dec._workers)
+
+
+DEAD_POOL_EXIT = """
+from tvc import bitio
+from tvc.bitio import PictureHeader, SequenceHeader
+from tvc.pipeline import DecodeError, Decoder, DecoderConfig
+seq = SequenceHeader(width=64, height=64, frame_count=4)
+dec = Decoder(seq, DecoderConfig(workers=2))
+for w in dec._workers:
+    w.kill()
+for poc in range(4):          # 256 KiB of parse tasks, more than a pipe holds
+    dec.feed(bitio.write_picture_header(PictureHeader(pic_type=0, poc=poc, qp=30),
+                                        seq, bytes(1 << 16))[4:])
+try:
+    dec.next_frame(timeout=30)
+except DecodeError:
+    dec.close()
+"""
+
+
+def test_dead_pool_does_not_block_exit():
+    """Tasks a dead pool never took do not keep the process from exiting."""
+    t0 = time.perf_counter()
+    src = os.path.dirname(os.path.dirname(bitio.__file__))
+    subprocess.run([sys.executable, "-c", DEAD_POOL_EXIT], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": src})
+    assert time.perf_counter() - t0 < 30
+
+
 def test_scalar_vector_decode_equal(corpus_cache):
     blob, _ = corpus_cache.get("ai_scc_8")
     h_vec = [frame_md5(f.planes, 8)
@@ -330,7 +385,7 @@ def test_finalized_rows_after_row0_ctu64():
 def test_stage_profile_sums_to_100(corpus_cache):
     blob, _ = corpus_cache.get("ipp_tex_8_loops")
     from tvc.bench import bench_stages
-    rows = bench_stages(blob, workers=1)
+    rows = bench_stages(blob)
     total = sum(r.percent for r in rows)
     assert abs(total - 100.0) <= 0.5
     inter = next(r for r in rows if r.stage == "inter")
@@ -340,7 +395,7 @@ def test_stage_profile_sums_to_100(corpus_cache):
 def test_all_intra_profile_has_zero_inter(corpus_cache):
     blob, _ = corpus_cache.get("ai_grad_8_loops")
     from tvc.bench import bench_stages
-    rows = bench_stages(blob, workers=1)
+    rows = bench_stages(blob)
     inter = next(r for r in rows if r.stage == "inter")
     assert inter.percent == 0.0
 
