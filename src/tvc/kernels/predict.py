@@ -161,7 +161,8 @@ def interp_luma_vector(ref: np.ndarray, mv: tuple[int, int], x: int, y: int,
         if ty[t]:
             acc += ty[t] * mid[t : t + h, :].astype(np.int32)
     acc >>= 20 - bit_depth
-    return np.clip(acc, 0, _sample_max(bit_depth))
+    np.maximum(acc, 0, out=acc)
+    return np.minimum(acc, _sample_max(bit_depth), out=acc)
 
 
 def interp_chroma_scalar(ref: np.ndarray, mv: tuple[int, int], x: int, y: int,
@@ -208,7 +209,8 @@ def interp_chroma_vector(ref: np.ndarray, mv: tuple[int, int], x: int, y: int,
     acc = (64 - fy) * mid[:h, :].astype(np.int32) + fy * mid[1 : h + 1, :].astype(np.int32)
     acc += 1 << (19 - bit_depth)
     acc >>= 20 - bit_depth
-    return np.clip(acc, 0, _sample_max(bit_depth))
+    np.maximum(acc, 0, out=acc)
+    return np.minimum(acc, _sample_max(bit_depth), out=acc)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ INT16_MIN, INT16_MAX = -(1 << 15), (1 << 15) - 1
 INV_SHIFT1 = 7
 # forward: exact products through stage 1, single round-shift of
 # (bit_depth - 1) at stage 2; the N-independent total keeps
-# dequant(quant(fwd)) . inverse at identity scale for fine qp, and the
-# int32 accumulators never overflow (|acc| <= 32 * 90 * 370k < 2^31)
+# dequant(quant(fwd)) . inverse at identity scale for fine qp
 
 
 def _round_half_away(x: float) -> int:
@@ -76,6 +75,14 @@ def _matrix_tuples(kind: int, n: int) -> tuple[tuple, tuple]:
     return rows, tuple(zip(*rows))
 
 
+@lru_cache(maxsize=None)
+def _scaled_matrix(kind: int, n: int, shift: int) -> np.ndarray:
+    """A transform matrix in float64, times ``2**-shift`` (exact: a power of two)."""
+    t = gen_transform_matrix(kind, n) * (1.0 / (1 << shift))
+    t.setflags(write=False)
+    return t
+
+
 # ---------------------------------------------------------------------------
 # dequant / quant
 
@@ -91,8 +98,12 @@ def dequant_scalar(levels: np.ndarray, qp: int) -> np.ndarray:
 def dequant_vector(levels: np.ndarray, qp: int) -> np.ndarray:
     ls = DEQUANT_LS[qp % 6]
     sh = qp // 6
-    d = (levels.astype(np.int64) * ls << sh) >> 4
-    return np.clip(d, INT16_MIN, INT16_MAX).astype(np.int32)
+    d = levels.astype(np.int64)
+    d *= ls << sh
+    d >>= 4
+    np.maximum(d, INT16_MIN, out=d)
+    np.minimum(d, INT16_MAX, out=d)
+    return d.astype(np.int32)
 
 
 def quant_scalar(coeffs: np.ndarray, qp: int, is_intra: bool) -> np.ndarray:
@@ -138,13 +149,29 @@ def inverse_transform_scalar(coeffs: np.ndarray, kind_h: int, kind_v: int,
 
 def inverse_transform_vector(coeffs: np.ndarray, kind_h: int, kind_v: int,
                              bit_depth: int) -> np.ndarray:
+    """Both stages as float64 BLAS matmuls, bit-exact with the scalar path.
+
+    Each stage's round-shift ``(x + (1 << (s - 1))) >> s`` becomes
+    ``floor(x * 2**-s + 0.5)`` with ``2**-s`` folded into the cached matrix.
+    Every product and partial sum is then a multiple of ``2**-s`` whose
+    magnitude is at most the largest column L1 norm of a matrix (331, DCT2
+    at N=32) times the largest input.  Stage 1 has ``s = 7``; stage 2 has
+    ``s = 20 - bit_depth`` (at most 12) on input clipped to int16, so its
+    sums stay below ``331 * 2**15 * 2**12 < 2**37`` units of ``2**-s``.  Both
+    are far below 2**53, so float64 holds every one exactly whatever order
+    BLAS sums in, and the floor gives the integer result for any int32
+    coefficients (stage 1 stays exact below ``2**53 / (331 * 2**7)``).
+    """
     n = coeffs.shape[0]
-    tv = gen_transform_matrix(kind_v, n)
-    th = gen_transform_matrix(kind_h, n)
-    mid = (tv.T @ coeffs.astype(np.int32) + 64) >> INV_SHIFT1
-    np.clip(mid, INT16_MIN, INT16_MAX, out=mid)
-    s2 = 20 - bit_depth
-    return (mid @ th + (1 << (s2 - 1))) >> s2
+    mid = _scaled_matrix(kind_v, n, INV_SHIFT1).T @ coeffs
+    mid += 0.5
+    np.floor(mid, out=mid)
+    np.maximum(mid, INT16_MIN, out=mid)
+    np.minimum(mid, INT16_MAX, out=mid)
+    out = mid @ _scaled_matrix(kind_h, n, 20 - bit_depth)
+    out += 0.5
+    np.floor(out, out=out)
+    return out.astype(np.int32)
 
 
 def forward_transform_scalar(resid: np.ndarray, kind_h: int, kind_v: int,
@@ -164,13 +191,23 @@ def forward_transform_scalar(resid: np.ndarray, kind_h: int, kind_v: int,
 
 def forward_transform_vector(resid: np.ndarray, kind_h: int, kind_v: int,
                              bit_depth: int) -> np.ndarray:
+    """Float64 BLAS matmuls, bit-exact with the scalar path.
+
+    Stage 1 sums integers up to 352 (the largest row L1 norm) times the
+    largest residual.  Stage 2 folds its ``2**-(bit_depth - 1)`` into the
+    cached matrix, so its sums are multiples of that step and at most
+    ``331 * 352 * max|resid|`` in magnitude.  At 10 bits that is under
+    2**53 steps for any residual below 2**27 (residuals are below
+    ``2**bit_depth``), so every sum is exact in any summation order.
+    """
     n = resid.shape[0]
-    th = gen_transform_matrix(kind_h, n)
-    tv = gen_transform_matrix(kind_v, n)
-    mid = resid.astype(np.int64) @ th.T.astype(np.int64)
-    s2 = bit_depth - 1
-    out = (tv.astype(np.int64) @ mid + (1 << (s2 - 1))) >> s2
-    return np.clip(out, INT16_MIN, INT16_MAX).astype(np.int16)
+    mid = resid @ _scaled_matrix(kind_h, n, 0).T
+    out = _scaled_matrix(kind_v, n, bit_depth - 1) @ mid
+    out += 0.5
+    np.floor(out, out=out)
+    np.maximum(out, INT16_MIN, out=out)
+    np.minimum(out, INT16_MAX, out=out)
+    return out.astype(np.int16)
 
 
 def mts_kinds(mts_idx: int) -> tuple[int, int]:

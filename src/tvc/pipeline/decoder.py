@@ -10,6 +10,11 @@ job becomes one message (``_job_message``) that ``exec.run_job`` executes.
   them against sample planes living in one shared-memory arena and post
   completions back.
 
+Both backends take ready jobs oldest picture first from the scheduler's
+heap.  The pool also holds each job back until the workers have credit
+for it (``_push_ready``), so a queued parse of picture 2 never delays
+picture 0's reconstruction.
+
 P pictures motion-compensate in one "mcpre" job per inter CU, the only jobs
 gated on the reference's finalized rows.  A job's exception reaches the
 caller unchanged on both backends; a worker that dies outside close() fails
@@ -122,6 +127,7 @@ class Decoder:
         n_slots = self._active_cap + 2
         self._free_slots = deque(range(n_slots))
         self._multiproc = config.workers >= 2
+        self._in_flight = 0                          # job messages without a result
         if self._multiproc:
             # slot planes live in one shared arena; the forked workers
             # inherit self._env and with it views of the same memory
@@ -221,17 +227,30 @@ class Decoder:
         raise ValueError(kind)
 
     def _push_ready(self) -> None:
-        """Move ready jobs to execution (queue for workers, or no-op inline)."""
+        """Queue ready jobs for the workers, oldest picture first (inline: no-op).
+
+        A job message goes out only while the in-flight count is below its
+        credit: ``workers`` for a parse, which runs for a whole picture, and
+        ``2 * workers`` for the short kinds, one queued behind each running
+        job so no worker waits a round trip between them.  The output
+        pseudo-job takes no credit; the heap hands it out first.  A job that
+        finds no credit leaves none for the jobs behind it: when a parse is
+        first, the jobs behind it are younger pictures' parses, since a
+        picture's other jobs wait for its parse and parses go out in
+        picture order.
+        """
         if not self._multiproc:
             return                      # inline backend pulls from sched.ready
-        while True:
-            key = self.sched.take_ready()
-            if key is None:
-                return
+        workers = self.config.workers
+        while (key := self.sched.peek_ready()) is not None:
             if key[0] == "output":
-                self._finish_output(key)
-            else:
-                self._task_q.put(self._job_message(key))
+                self._finish_output(self.sched.take_ready())
+                continue
+            if self._in_flight >= (workers if key[0] == "parse" else 2 * workers):
+                return
+            self.sched.take_ready()
+            self._in_flight += 1
+            self._task_q.put(self._job_message(key))
 
     def _dispatch_loop(self) -> None:
         """Handle worker results until close() posts None; after a failure or
@@ -239,6 +258,7 @@ class Decoder:
         queued behind the workers' stop sentinels."""
         while (msg := self._result_q.get()) is not None:
             with self._cond:
+                self._in_flight -= 1
                 if self.error is not None or self.closed:
                     continue
                 try:

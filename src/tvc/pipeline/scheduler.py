@@ -1,24 +1,38 @@
-"""Dependency engine: counters, FIFO ready queue, counter gates.
+"""Dependency engine: counters, an oldest-picture-first ready heap, counter gates.
 
-Every mutation happens on a single thread (the dispatch thread in process
-mode, the caller in inline mode), which makes job-state transitions
-race-free by construction.  A job enters the ready queue exactly once:
-when its dependency count reaches zero and its counter-gate, if any, is
-satisfied.  Gated jobs park on a per-reference-picture wait list ordered
-by required row count; advancing finalized rows releases them in order.
+Every mutation happens under the decoder's lock (its dispatch thread or
+the caller), which makes job-state transitions race-free by construction.
+A job enters the ready heap exactly once: when its dependency count
+reaches zero and its counter-gate, if any, is satisfied.  Gated jobs park
+on a per-reference-picture wait list ordered by required row count;
+advancing finalized rows releases them into the same heap.
+
+The heap hands out output pseudo-jobs first (they take no worker), then
+the oldest picture's jobs: its parse, filter rows, MC and recon, each kind
+in raster order.  So the pool finishes picture 0 before it parses picture
+2, and a filter row goes as soon as it can, which finalizes the rows the
+next picture's MC and the output wait for.
 """
 from __future__ import annotations
 
 import heapq
-from collections import deque
 
 from .jobs import Job
+
+_KIND_RANK = {"parse": 0, "filter": 1, "mcpre": 2, "recon": 3}
+
+
+def _dispatch_priority(key: tuple) -> tuple:
+    """Heap order of a job key: ``(picture, kind rank, row, col, ...)``."""
+    if key[0] == "output":
+        return (-1, key[1])
+    return (key[1], _KIND_RANK[key[0]], key[2:])
 
 
 class Scheduler:
     def __init__(self) -> None:
         self.jobs: dict[tuple, Job] = {}
-        self.ready: deque[tuple] = deque()
+        self.ready: list[tuple] = []            # heap of (priority, key)
         self.parked: dict[int, list] = {}
         self.finalized: dict[int, int] = {}
         self._seq = 0
@@ -46,8 +60,7 @@ class Scheduler:
                 )
                 self._seq += 1
                 return
-        job.enqueued = True
-        self.ready.append(job.key)
+        self._push(job)
 
     def complete(self, key: tuple) -> None:
         job = self.jobs[key]
@@ -68,14 +81,20 @@ class Scheduler:
         heap = self.parked.get(pic_id)
         while heap and heap[0][0] <= rows:
             _, _, key = heapq.heappop(heap)
-            job = self.jobs[key]
-            job.enqueued = True
-            self.ready.append(key)
+            self._push(self.jobs[key])
 
     def drop_picture(self, pic_id: int, keys) -> None:
         for k in keys:
             self.jobs.pop(k, None)
         self.parked.pop(pic_id, None)
 
+    def _push(self, job: Job) -> None:
+        job.enqueued = True
+        heapq.heappush(self.ready, (_dispatch_priority(job.key), job.key))
+
+    def peek_ready(self) -> tuple | None:
+        """The key ``take_ready`` would return next, left in the heap."""
+        return self.ready[0][1] if self.ready else None
+
     def take_ready(self) -> tuple | None:
-        return self.ready.popleft() if self.ready else None
+        return heapq.heappop(self.ready)[1] if self.ready else None

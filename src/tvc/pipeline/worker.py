@@ -2,9 +2,11 @@
 
 Workers are forked from the decoder, so they inherit its ``JobEnv``: the
 kernel set and the slot planes, which are views of the shared arena.  They
-execute jobs from the FIFO task queue and post completions.  They hold no
-authoritative state: dependency bookkeeping lives with the master's
-dispatch thread.
+take job messages from the task queue in the order the master put them
+(oldest picture first, and at most ``2 * workers`` outstanding) and post
+one completion per message, an error included, since the master counts
+them against its credit.  They hold no authoritative state: dependency
+bookkeeping lives with the master's dispatch thread.
 """
 from __future__ import annotations
 

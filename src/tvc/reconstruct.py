@@ -196,14 +196,14 @@ def _residual_block(cu, plane_idx, w, h, qp, kset, bit_depth):
     kinds = mts_kinds(cu.mts_idx) if plane_idx == 0 else (KIND_DCT2, KIND_DCT2)
     if w <= 32:
         d = kset.dequant(coeffs, qp)
-        return kset.inverse_transform(d.astype(np.int16), kinds[0], kinds[1], bit_depth)
+        return kset.inverse_transform(d, kinds[0], kinds[1], bit_depth)
     # 64-wide blocks: four independent 32x32 quadrant transforms (DCT2 only)
     out = np.empty((h, w), dtype=np.int32)
     for qy in (0, 32):
         for qx in (0, 32):
             d = kset.dequant(coeffs[qy : qy + 32, qx : qx + 32], qp)
             out[qy : qy + 32, qx : qx + 32] = kset.inverse_transform(
-                d.astype(np.int16), KIND_DCT2, KIND_DCT2, bit_depth
+                d, KIND_DCT2, KIND_DCT2, bit_depth
             )
     return out
 
@@ -256,8 +256,13 @@ def reconstruct_cu(cu, ctx: ReconContext, planes: list[np.ndarray], avail,
                 levels = np.zeros((h, w), dtype=np.int16)
             out = kset.bdpcm(levels, cu.bdpcm_dir, qp, pred, bd)
         else:
-            resid = _residual_block(cu, p, w, h, qp, kset, bd)
-            out = pred if resid is None else np.clip(pred + resid, 0, smax)
+            out = _residual_block(cu, p, w, h, qp, kset, bd)
+            if out is None:
+                out = pred
+            else:
+                out += pred
+                np.maximum(out, 0, out=out)
+                np.minimum(out, smax, out=out)
         plane[y : y + h, x : x + w] = out
     clock.lap("iqit")
 

@@ -1,8 +1,12 @@
 """Pipeline tests: job graph, scheduler, gates, determinism, filter bands."""
+import multiprocessing.queues
 import os
+import random
+import struct
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import pytest
 from corpus_def import CORPUS_BY_NAME, flip_bit
 from tvc import bitio
 from tvc.bitio import SequenceHeader
-from tvc.hashes import frame_md5
+from tvc.hashes import frame_md5, parse_hash_lines
 from tvc.kernels import KernelSet
 from tvc.kernels.filters import (
     alf_block_scalar,
@@ -153,6 +157,33 @@ def test_scheduler_fifo_order():
     s.add_jobs({k: Job(key=k) for k in keys})
     assert [s.take_ready() for _ in range(6)] == keys
     assert s.take_ready() is None
+
+
+def test_scheduler_oldest_picture_first():
+    s = Scheduler()
+    jobs = [
+        Job(key=("parse", 2)),
+        Job(key=("recon", 1, 0, 1)),
+        Job(key=("recon", 0, 1, 0)),
+        Job(key=("mcpre", 2, 0, 0, 1), gate=(1, 32)),
+        Job(key=("filter", 0, 0)),
+        Job(key=("recon", 0, 0, 1)),
+        Job(key=("mcpre", 1, 1, 0, 0), gate=(0, 64)),
+    ]
+    s.add_jobs({j.key: j for j in jobs})
+    assert s.peek_ready() == ("filter", 0, 0)
+    assert s.take_ready() == ("filter", 0, 0)
+    s.advance_finalized(1, 32)          # releases picture 2's MC first
+    s.advance_finalized(0, 64)
+    assert [s.take_ready() for _ in range(6)] == [
+        ("recon", 0, 0, 1), ("recon", 0, 1, 0),
+        ("mcpre", 1, 1, 0, 0), ("recon", 1, 0, 1),
+        ("parse", 2), ("mcpre", 2, 0, 0, 1),
+    ]
+    assert s.take_ready() is None and s.peek_ready() is None
+    # the output pseudo-job takes no worker, so it never waits behind a job
+    s.add_jobs({("output", 3): Job(key=("output", 3)), ("parse", 0): Job(key=("parse", 0))})
+    assert s.take_ready() == ("output", 3)
 
 
 def test_scheduler_gate_parks_and_releases_in_order():
@@ -306,6 +337,89 @@ def test_corrupt_payload_error_on_both_backends(corpus_cache):
     assert str(pool_error.value) == str(inline_error.value)
 
 
+def test_pool_credit_bounds_in_flight_jobs(corpus_cache, monkeypatch):
+    """A workers=2 decode puts a parse only while fewer than 2 job messages
+    are without a result, and never has more than 4 without one."""
+    master = os.getpid()
+    events = []                         # +1 per task put, -1 per result taken
+    queue_cls = multiprocessing.queues.Queue
+    put, get = queue_cls.put, queue_cls.get
+
+    def recording_put(q, obj, *args, **kw):
+        if os.getpid() == master and obj is not None:       # a task message
+            events.append((1, obj[0][0]))
+        return put(q, obj, *args, **kw)
+
+    def recording_get(q, *args, **kw):
+        obj = get(q, *args, **kw)
+        if os.getpid() == master and obj is not None:       # a worker's result
+            events.append((-1, obj[1][0]))
+        return obj
+
+    monkeypatch.setattr(queue_cls, "put", recording_put)
+    monkeypatch.setattr(queue_cls, "get", recording_get)
+    blob, _ = corpus_cache.get("ai_grad_8_loops")
+    digests = [frame_md5(f.planes, 8)
+               for f in decode_container(blob, DecoderConfig(workers=2))]
+    monkeypatch.undo()
+
+    with open(os.path.join(os.path.dirname(__file__), "golden",
+                           "ai_grad_8_loops.md5")) as fh:
+        assert digests == parse_hash_lines(fh.read())[0]
+    in_flight = 0
+    for step, kind in events:
+        if step == 1 and kind == "parse":
+            assert in_flight < 2, events
+        in_flight += step
+        assert 0 <= in_flight <= 4, events
+    assert in_flight == 0
+    puts = Counter(kind for step, kind in events if step == 1)
+    assert puts == {"parse": 3, "recon": 18, "filter": 6}
+
+
+def truncate_payload(data: bytes, seed: int) -> bytes:
+    """Cut one seeded picture unit's body short, keeping the container valid."""
+    seq, units = bitio.split_container(data)
+    rng = random.Random(seed)
+    i = rng.randrange(len(units))
+    units[i] = units[i][: rng.randrange(len(units[i]))]
+    return data[: bitio.SEQ_HEADER_SIZE] + b"".join(
+        struct.pack(">I", len(u)) + u for u in units)
+
+
+def decode_outcome(data: bytes, workers: int):
+    """Frame digests, or the error's class and message."""
+    try:
+        seq, units = bitio.split_container(data)
+        with Decoder(seq, DecoderConfig(workers=workers)) as dec:
+            for unit in units:
+                dec.feed(unit)
+            dec.end_of_stream()
+            digests = []
+            while (frame := dec.next_frame(timeout=20)) is not None:
+                digests.append(frame_md5(frame.planes, frame.bit_depth))
+            return digests
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name", ["ipp_tex_8_loops", "ai_grad_10_loops"])
+def test_corrupt_and_truncated_streams_same_outcome_on_both_backends(name, corpus_cache):
+    """Seeded bit flips, truncated picture payloads and a cut container give
+    the same frames or the same error at workers 1 and 2, promptly."""
+    blob, _ = corpus_cache.get(name)
+    cases = [flip_bit(blob, seed) for seed in range(6)]
+    cases += [truncate_payload(blob, seed) for seed in range(3)]
+    cases.append(blob[: random.Random(0).randrange(len(blob))])
+    for i, data in enumerate(cases):
+        outcomes = []
+        for workers in (1, 2):
+            t0 = time.perf_counter()
+            outcomes.append(decode_outcome(data, workers))
+            assert time.perf_counter() - t0 < 20, (i, workers)
+        assert outcomes[0] == outcomes[1], i
+
+
 def test_dead_worker_fails_fast(corpus_cache):
     """A worker that dies outside close() fails the decode with a DecodeError
     naming it, and close() afterwards is prompt and leaves no worker behind."""
@@ -338,7 +452,7 @@ seq = SequenceHeader(width=64, height=64, frame_count=4)
 dec = Decoder(seq, DecoderConfig(workers=2))
 for w in dec._workers:
     w.kill()
-for poc in range(4):          # 256 KiB of parse tasks, more than a pipe holds
+for poc in range(4):          # the credit sends two 64 KiB parses, more than a pipe holds
     dec.feed(bitio.write_picture_header(PictureHeader(pic_type=0, poc=poc, qp=30),
                                         seq, bytes(1 << 16))[4:])
 try:

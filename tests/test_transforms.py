@@ -169,3 +169,46 @@ def test_transform_roundtrip_envelope_large_n(bd):
 @pytest.mark.parametrize("bd", [8, 10])
 def test_transform_roundtrip_qp8_within_two_n4(bd):
     assert roundtrip_err(bd, 4, tx.KIND_DCT2, maxr=48, qp=8) <= 2
+
+
+def _signs(v):
+    return np.where(v < 0, -1, 1)
+
+
+@pytest.mark.parametrize("bd", [8, 10])
+@pytest.mark.parametrize("n", tx.TRANSFORM_SIZES)
+def test_vector_transforms_exact_at_extremes(bd, n):
+    """The float64 vector transforms equal the scalar ones at the largest
+    sums either stage can form: every coefficient at +-32767, and signs
+    following the largest-norm matrix rows and columns, so that one output
+    sample of each stage adds every product with the same sign."""
+    big = 32767
+    for kh in ALL_KINDS:
+        th = tx.gen_transform_matrix(kh, n).astype(np.int64)
+        for kv in ALL_KINDS:
+            tv = tx.gen_transform_matrix(kv, n).astype(np.int64)
+            # inverse: stage 1 sums tv[k, m] * c[k, x] over k, stage 2 sums
+            # mid[m, k] * th[k, x] over k
+            m = np.abs(tv).sum(axis=0).argmax()
+            x = np.abs(th).sum(axis=0).argmax()
+            aligned = big * np.outer(_signs(tv[:, m]), _signs(th[:, x]))
+            # forward: stage 1 sums r[y, m] * th[k, m] over m, stage 2 sums
+            # tv[k, y] * mid[y, k'] over y
+            k1 = np.abs(th).sum(axis=1).argmax()
+            k2 = np.abs(tv).sum(axis=1).argmax()
+            aligned_fwd = big * np.outer(_signs(tv[k2]), _signs(th[k1]))
+            checker = big * np.outer(_signs(np.arange(n) % 2 - 0.5),
+                                     _signs(np.arange(n) % 2 - 0.5))
+            for block in (np.full((n, n), big), np.full((n, n), -big),
+                          checker, aligned, -aligned, aligned_fwd, -aligned_fwd):
+                for dtype in (np.int16, np.int32):
+                    c = block.astype(dtype)
+                    want = tx.inverse_transform_scalar(c, kh, kv, bd)
+                    got = tx.inverse_transform_vector(c, kh, kv, bd)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), ("inverse", kh, kv, dtype)
+                r = block.astype(np.int32)
+                want = tx.forward_transform_scalar(r, kh, kv, bd)
+                got = tx.forward_transform_vector(r, kh, kv, bd)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), ("forward", kh, kv)
