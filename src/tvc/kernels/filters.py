@@ -49,8 +49,10 @@ def _window(src: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
     ph, pw = src.shape
     if y0 >= 0 and x0 >= 0 and y1 <= ph and x1 <= pw:
         return src[y0:y1, x0:x1]
-    ys = np.clip(np.arange(y0, y1), 0, ph - 1)
-    xs = np.clip(np.arange(x0, x1), 0, pw - 1)
+    ys = np.maximum(np.arange(y0, y1), 0)
+    xs = np.maximum(np.arange(x0, x1), 0)
+    np.minimum(ys, ph - 1, out=ys)
+    np.minimum(xs, pw - 1, out=xs)
     return src[ys[:, None], xs[None, :]]
 
 
@@ -116,10 +118,13 @@ def deblock_edge_vector(plane: np.ndarray, ys: np.ndarray, xs: np.ndarray,
         q1 = plane[ys + 1, xs].astype(np.int32)
     active = (bs > 0) & (np.abs(p0 - q0) < beta)
     delta = ((q0 - p0) * 4 + (p1 - q1) + 4) >> 3
-    np.clip(delta, -tc, tc, out=delta)
+    np.maximum(delta, -tc, out=delta)
+    np.minimum(delta, tc, out=delta)
     smax = _smax(bit_depth)
-    np0 = np.clip(p0 + delta, 0, smax)
-    nq0 = np.clip(q0 - delta, 0, smax)
+    np0 = np.maximum(p0 + delta, 0)
+    nq0 = np.maximum(q0 - delta, 0)
+    np.minimum(np0, smax, out=np0)
+    np.minimum(nq0, smax, out=nq0)
     np0 = np.where(active, np0, p0)
     nq0 = np.where(active, nq0, q0)
     if vertical:
@@ -212,7 +217,8 @@ def sao_block_vector(src: np.ndarray, x0: int, y0: int, w: int, h: int,
     if mode == SAO_EDGE:
         block, cat = sao_edge_class(src, x0, y0, w, h, eo_class)
         lut = np.array([offsets[0], offsets[1], 0, offsets[2], offsets[3]], dtype=np.int32)
-        return np.clip(block + lut[cat + 2], 0, smax)
+        out = np.maximum(block + lut[cat + 2], 0)
+        return np.minimum(out, smax, out=out)
     block = src[y0 : y0 + h, x0 : x0 + w].astype(np.int32)
     if mode == SAO_OFF:
         return block
@@ -220,7 +226,8 @@ def sao_block_vector(src: np.ndarray, x0: int, y0: int, w: int, h: int,
     for i in range(4):
         lut[(band_start + i) % 32] = offsets[i]
     idx = block >> (bit_depth - 5)
-    return np.clip(block + lut[idx], 0, smax)
+    out = np.maximum(block + lut[idx], 0)
+    return np.minimum(out, smax, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +269,9 @@ def alf_block_vector(src: np.ndarray, x0: int, y0: int, w: int, h: int,
         a = win[2 + dy : 2 + dy + h, 2 + dx : 2 + dx + w]
         m = win[2 - dy : 2 - dy + h, 2 - dx : 2 - dx + w]
         acc += int(c) * (a + m)
-    return np.clip(acc >> 7, 0, _smax(bit_depth))
+    acc >>= 7
+    np.maximum(acc, 0, out=acc)
+    return np.minimum(acc, _smax(bit_depth), out=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +314,8 @@ def ccalf_block_vector(chroma: np.ndarray, luma: np.ndarray, x0: int, y0: int,
         acc += acc_t(c) * (t - lc)
     delta = (acc >> 6).astype(np.int32)
     out = chroma[y0 : y0 + h, x0 : x0 + w].astype(np.int32) + delta
-    return np.clip(out, 0, _smax(bit_depth))
+    np.maximum(out, 0, out=out)
+    return np.minimum(out, _smax(bit_depth), out=out)
 
 
 # ---------------------------------------------------------------------------

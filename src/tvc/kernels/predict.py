@@ -102,8 +102,10 @@ def intra_predict_vector(mode: int, top: np.ndarray, left: np.ndarray,
 
 def _gather_clamped(plane: np.ndarray, y0: int, x0: int, h: int, w: int) -> np.ndarray:
     ph, pw = plane.shape
-    ys = np.clip(np.arange(y0, y0 + h), 0, ph - 1)
-    xs = np.clip(np.arange(x0, x0 + w), 0, pw - 1)
+    ys = np.maximum(np.arange(y0, y0 + h), 0)
+    xs = np.maximum(np.arange(x0, x0 + w), 0)
+    np.minimum(ys, ph - 1, out=ys)
+    np.minimum(xs, pw - 1, out=xs)
     return plane[np.ix_(ys, xs)]
 
 
@@ -265,6 +267,9 @@ def bdpcm_reconstruct_vector(qlevels: np.ndarray, direction: int, qp: int,
     cum = np.cumsum(qlevels.astype(np.int64), axis=axis)
     ls = DEQUANT_LS[qp % 6]
     sh = qp // 6
-    d = np.clip((cum * ls << sh) >> 4, INT16_MIN, INT16_MAX)
+    d = np.maximum((cum * ls << sh) >> 4, INT16_MIN)
+    np.minimum(d, INT16_MAX, out=d)
     out = prediction.astype(np.int64) + d
-    return np.clip(out, 0, _sample_max(bit_depth)).astype(np.int32)
+    np.maximum(out, 0, out=out)
+    np.minimum(out, _sample_max(bit_depth), out=out)
+    return out.astype(np.int32)

@@ -257,9 +257,8 @@ def validate_bv(bv: tuple[int, int], cu_rect: Rect, progress: ReconProgress) -> 
     return True
 
 
-@lru_cache(maxsize=None)
-def zigzag_scan(w: int, h: int) -> tuple[tuple[tuple[int, int], ...], dict]:
-    """Zig-zag scan positions (y, x) and the position -> scan index map."""
+def zigzag_scan(w: int, h: int) -> tuple[tuple[int, int], ...]:
+    """Zig-zag scan positions (y, x)."""
     order = []
     for d in range(w + h - 1):
         ys = range(min(d, h - 1), max(0, d - w + 1) - 1, -1)
@@ -267,12 +266,37 @@ def zigzag_scan(w: int, h: int) -> tuple[tuple[tuple[int, int], ...], dict]:
         if d % 2:
             cells.reverse()
         order.extend(cells)
-    index = {pos: i for i, pos in enumerate(order)}
-    return tuple(order), index
+    return tuple(order)
 
 
 def _sig_ctx(scan_idx: int, total: int) -> int:
+    """Significance context of a scan position: the tercile of the scan it lies in."""
     return 3 * scan_idx // total
+
+
+@lru_cache(maxsize=None)
+def residual_plan(w: int, h: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                           tuple[tuple[int, int, int], ...]]:
+    """Scan plan of a ``w`` x ``h`` coefficient block, shared by parser and writer.
+
+    Returns ``(flat, scan_of, ranges)``: ``flat[s]`` is the row-major sample
+    index of zig-zag scan position ``s``, ``scan_of`` inverts it, and
+    ``ranges`` lists ``(first, last, ctx)`` runs of scan positions that share
+    the significance context ``_sig_ctx``, the last run first.
+    """
+    total = w * h
+    flat = tuple(y * w + x for y, x in zigzag_scan(w, h))
+    scan_of = [0] * total
+    for s, f in enumerate(flat):
+        scan_of[f] = s
+    runs: list[list[int]] = []
+    for s in range(total):
+        ctx = _sig_ctx(s, total)
+        if runs and runs[-1][2] == ctx:
+            runs[-1][1] = s
+        else:
+            runs.append([s, s, ctx])
+    return flat, tuple(scan_of), tuple(tuple(r) for r in reversed(runs))
 
 
 @dataclass
@@ -353,50 +377,68 @@ def write_coding_tree(enc, bank: CtxBank, x: int, y: int, size: int, depth: int,
 
 
 def parse_residual(dec, bank: CtxBank, w: int, h: int) -> np.ndarray:
-    """Reverse zig-zag significance/level parse of one coefficient block."""
-    order, index = zigzag_scan(w, h)
-    total = w * h
+    """Reverse zig-zag significance/level parse of one coefficient block.
+
+    Every bin is one ``decode_bit``/``decode_bypass`` call on ``dec``, looked
+    up when the function runs: decodebench counts bins by wrapping those
+    methods on the coder class, so inlining a bin or binding the methods
+    ahead of time would make its bin check miscount.
+    """
+    flat, scan_of, ranges = residual_plan(w, h)
     lx = dec.decode_bypass_bits(w.bit_length() - 1)
     ly = dec.decode_bypass_bits(h.bit_length() - 1)
-    last = index[(ly, lx)]
+    last = scan_of[ly * w + lx]
+    decode_bit, decode_bypass, decode_eg = dec.decode_bit, dec.decode_bypass, dec.decode_eg
+    sig, gt1 = bank.sig, bank.gt1
+    pos: list[int] = []
+    lev: list[int] = []
+    for first, end, ctx in ranges:
+        if first > last:
+            continue
+        sig_ctx = sig[ctx]
+        for s in range(min(end, last), first - 1, -1):
+            if decode_bit(sig_ctx):
+                if decode_bit(gt1):
+                    mag = 2 + decode_eg(0)
+                    if mag > MAX_LEVEL:
+                        raise CorruptStreamError(f"coefficient level {mag} overflows")
+                else:
+                    mag = 1
+                pos.append(flat[s])
+                lev.append(-mag if decode_bypass() else mag)
     block = np.zeros((h, w), dtype=np.int16)
-    for s in range(last, -1, -1):
-        py, px = order[s]
-        if dec.decode_bit(bank.sig[_sig_ctx(s, total)]):
-            if dec.decode_bit(bank.gt1):
-                mag = 2 + dec.decode_eg(0)
-                if mag > MAX_LEVEL:
-                    raise CorruptStreamError(f"coefficient level {mag} overflows")
-            else:
-                mag = 1
-            sign = dec.decode_bypass()
-            block[py, px] = -mag if sign else mag
+    block.flat[pos] = lev
     return block
 
 
 def write_residual(enc, bank: CtxBank, block: np.ndarray) -> None:
     h, w = block.shape
-    order, _ = zigzag_scan(w, h)
-    total = w * h
-    last = -1
-    for s in range(total - 1, -1, -1):
-        if block[order[s]]:
-            last = s
-            break
-    assert last >= 0, "cbf=1 blocks must contain a nonzero level"
-    ly, lx = order[last]
+    flat, scan_of, ranges = residual_plan(w, h)
+    levels = block.ravel().tolist()
+    nonzero = np.flatnonzero(block).tolist()
+    assert nonzero, "cbf=1 blocks must contain a nonzero level"
+    last = max(scan_of[f] for f in nonzero)
+    ly, lx = divmod(flat[last], w)
     enc.encode_bypass_bits(lx, w.bit_length() - 1)
     enc.encode_bypass_bits(ly, h.bit_length() - 1)
-    for s in range(last, -1, -1):
-        level = int(block[order[s]])
-        enc.encode_bit(bank.sig[_sig_ctx(s, total)], 1 if level else 0)
-        if level:
+    encode_bit, encode_bypass = enc.encode_bit, enc.encode_bypass
+    sig, gt1 = bank.sig, bank.gt1
+    for first, end, ctx in ranges:
+        if first > last:
+            continue
+        sig_ctx = sig[ctx]
+        for s in range(min(end, last), first - 1, -1):
+            level = levels[flat[s]]
+            if not level:
+                encode_bit(sig_ctx, 0)
+                continue
+            encode_bit(sig_ctx, 1)
             mag = abs(level)
             assert mag <= MAX_LEVEL
-            enc.encode_bit(bank.gt1, 1 if mag > 1 else 0)
+            encode_bit(gt1, 1 if mag > 1 else 0)
             if mag > 1:
                 enc.encode_eg(0, mag - 2)
-            enc.encode_bypass(1 if level < 0 else 0)
+            encode_bypass(1 if level < 0 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from tvc import bitio, syntax
 from tvc.bitio import RangeDecoder, RangeEncoder, CorruptStreamError
 from tvc.syntax import (
     CtxBank,
+    MAX_LEVEL,
     MODE_BDPCM,
     MODE_IBC,
     MODE_INTER,
@@ -286,7 +287,7 @@ def random_sparse_block(rng, w, h, density=0.15, mag=40):
     return block
 
 
-@pytest.mark.parametrize("size", [4, 8, 16, 32])
+@pytest.mark.parametrize("size", [4, 8, 16, 32, 64])
 def test_residual_random_roundtrip(size):
     rng = random.Random(size)
     bank_w, bank_r = CtxBank(), CtxBank()
@@ -300,12 +301,145 @@ def test_residual_random_roundtrip(size):
     assert bank_w.states() == bank_r.states()
 
 
+CODED_SIZES = ((4, 4), (8, 8), (16, 16), (32, 32), (64, 64), (8, 4))
+
+
+def test_residual_plan_matches_sig_ctx():
+    for w, h in CODED_SIZES:
+        order = zigzag_scan(w, h)
+        flat, scan_of, ranges = syntax.residual_plan(w, h)
+        total = w * h
+        assert [flat[s] for s in range(total)] == [y * w + x for y, x in order]
+        assert all(scan_of[f] == s for s, f in enumerate(flat))
+        ctx_of = [None] * total
+        for first, last, ctx in ranges:
+            for s in range(first, last + 1):
+                assert ctx_of[s] is None
+                ctx_of[s] = ctx
+        assert ctx_of == [syntax._sig_ctx(s, total) for s in range(total)]
+        assert [r[2] for r in ranges] == [2, 1, 0]
+
+
+def reference_write_residual(enc, bank, block):
+    """The per-position writer the plan-driven one replaced."""
+    h, w = block.shape
+    order = zigzag_scan(w, h)
+    total = w * h
+    last = -1
+    for s in range(total - 1, -1, -1):
+        if block[order[s]]:
+            last = s
+            break
+    ly, lx = order[last]
+    enc.encode_bypass_bits(lx, w.bit_length() - 1)
+    enc.encode_bypass_bits(ly, h.bit_length() - 1)
+    for s in range(last, -1, -1):
+        level = int(block[order[s]])
+        enc.encode_bit(bank.sig[syntax._sig_ctx(s, total)], 1 if level else 0)
+        if level:
+            mag = abs(level)
+            enc.encode_bit(bank.gt1, 1 if mag > 1 else 0)
+            if mag > 1:
+                enc.encode_eg(0, mag - 2)
+            enc.encode_bypass(1 if level < 0 else 0)
+
+
+def reference_parse_residual(dec, bank, w, h):
+    """The per-position parser the plan-driven one replaced."""
+    order = zigzag_scan(w, h)
+    total = w * h
+    lx = dec.decode_bypass_bits(w.bit_length() - 1)
+    ly = dec.decode_bypass_bits(h.bit_length() - 1)
+    block = np.zeros((h, w), dtype=np.int16)
+    for s in range(order.index((ly, lx)), -1, -1):
+        if dec.decode_bit(bank.sig[syntax._sig_ctx(s, total)]):
+            mag = 2 + dec.decode_eg(0) if dec.decode_bit(bank.gt1) else 1
+            block[order[s]] = -mag if dec.decode_bypass() else mag
+    return block
+
+
+def context_names(bank):
+    names = {id(c): f"sig{i}" for i, c in enumerate(bank.sig)}
+    names[id(bank.gt1)] = "gt1"
+    return names
+
+
+class TracingEncoder(RangeEncoder):
+    def __init__(self, names):
+        super().__init__()
+        self.names, self.events = names, []
+
+    def encode_bit(self, ctx, bit):
+        self.events.append(("ctx", bit, self.names[id(ctx)]))
+        super().encode_bit(ctx, bit)
+
+    def encode_bypass(self, bit):
+        self.events.append(("bypass", bit, None))
+        super().encode_bypass(bit)
+
+
+class TracingDecoder(RangeDecoder):
+    def __init__(self, data, names):
+        super().__init__(data)
+        self.names, self.events = names, []
+
+    def decode_bit(self, ctx):
+        bit = super().decode_bit(ctx)
+        self.events.append(("ctx", bit, self.names[id(ctx)]))
+        return bit
+
+    def decode_bypass(self):
+        bit = super().decode_bypass()
+        self.events.append(("bypass", bit, None))
+        return bit
+
+
+@pytest.mark.parametrize("w,h", CODED_SIZES)
+def test_residual_bins_match_reference_loops(w, h):
+    """Same bins, contexts and values as the per-position loops, one call per bin."""
+    rng = random.Random(1000 * w + h)
+    blocks = [random_sparse_block(rng, w, h, density=d, mag=m)
+              for d, m in ((0.05, 3), (0.15, 40), (1.0, 3), (1.0, MAX_LEVEL))
+              for _ in range(6)]
+    blocks.append(np.full((h, w), -MAX_LEVEL, dtype=np.int16))
+    ref_bank, new_bank, read_bank, oracle_bank = CtxBank(), CtxBank(), CtxBank(), CtxBank()
+    ref = TracingEncoder(context_names(ref_bank))
+    new = TracingEncoder(context_names(new_bank))
+    for b in blocks:
+        reference_write_residual(ref, ref_bank, b)
+        syntax.write_residual(new, new_bank, b)
+    assert new.events == ref.events
+    payload = new.flush()
+    assert payload == ref.flush()
+
+    dec = TracingDecoder(payload, context_names(read_bank))
+    oracle = RangeDecoder(payload)
+    for b in blocks:
+        assert (syntax.parse_residual(dec, read_bank, w, h) == b).all()
+        assert (reference_parse_residual(oracle, oracle_bank, w, h) == b).all()
+    assert dec.events == new.events
+    assert read_bank.states() == new_bank.states() == oracle_bank.states()
+
+
+def test_residual_level_overflow_is_corrupt():
+    bank = CtxBank()
+    enc = RangeEncoder()
+    enc.encode_bypass_bits(0, 2)                 # last = (0, 0) of a 4x4 block
+    enc.encode_bypass_bits(0, 2)
+    enc.encode_bit(bank.sig[0], 1)
+    enc.encode_bit(bank.gt1, 1)
+    enc.encode_eg(0, MAX_LEVEL - 1)              # level MAX_LEVEL + 1
+    enc.encode_bypass(0)
+    dec = RangeDecoder(enc.flush())
+    with pytest.raises(CorruptStreamError, match=f"^coefficient level {MAX_LEVEL + 1} overflows$"):
+        syntax.parse_residual(dec, CtxBank(), 4, 4)
+
+
 def test_zigzag_is_a_permutation():
     for w, h in ((4, 4), (8, 8), (16, 16), (32, 32), (8, 4)):
-        order, index = zigzag_scan(w, h)
+        order = zigzag_scan(w, h)
         assert sorted(order) == [(y, x) for y in range(h) for x in range(w)]
         assert order[0] == (0, 0)
-        assert all(index[p] == i for i, p in enumerate(order))
 
 
 # ---------------------------------------------------------------------------
