@@ -68,6 +68,7 @@ from .syntax import (
     Rect,
     ReconProgress,
     SaoParams,
+    ctu_grid,
     validate_bv,
 )
 
@@ -177,8 +178,8 @@ class _PictureEncoder:
             ref_bufs=ref, lmcs_lut=self.lut,
         )
         self.planes = [self.recon_plane(p) for p in range(self.params.num_planes)]
-        self.rows = (self.seq.height + self.cfg.ctu_size - 1) // self.cfg.ctu_size
-        self.cols = (self.seq.width + self.cfg.ctu_size - 1) // self.cfg.ctu_size
+        self.rows, self.cols = ctu_grid(self.seq.width, self.seq.height,
+                                        self.cfg.ctu_size)
         self.ctus: list[ParsedCtu] = []
 
     # ------------------------------------------------------------ helpers

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-SAO_OFF = 0
-SAO_BAND = 1
-SAO_EDGE = 2
+from ..bitio import LMCS_PIECES
+from ..syntax import SAO_BAND, SAO_EDGE, SAO_OFF
 
 # (dy, dx) neighbor pairs per edge-offset class: 0, 90, 45, 135 degrees
 SAO_EDGE_NEIGHBORS = (
@@ -33,8 +32,6 @@ ALF_PAIR_OFFSETS = ((-2, 0), (-1, -1), (-1, 0), (-1, 1), (0, -2), (0, -1))
 
 # collocated-luma tap offsets for CCALF, (dy, dx) around luma (2y, 2x)
 CCALF_OFFSETS = ((-1, 0), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (-1, -1))
-
-LMCS_PIECES = 16
 
 
 def _smax(bit_depth: int) -> int:

@@ -8,15 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..syntax import DIR_HOR, DIR_VER, INTRA_DC, INTRA_HOR, INTRA_PLANAR, INTRA_VER
 from .transforms import DEQUANT_LS, INT16_MAX, INT16_MIN
-
-INTRA_PLANAR = 0
-INTRA_DC = 1
-INTRA_HOR = 2
-INTRA_VER = 3
-
-DIR_HOR = 0
-DIR_VER = 1
 
 # quarter-pel luma taps, DC gain 64; phase 0 is the pass-through filter so
 # single-fraction MVs run the same two-pass arithmetic

@@ -19,6 +19,10 @@ P pictures motion-compensate in one "mcpre" job per inter CU, the only jobs
 gated on the reference's finalized rows.  A job's exception reaches the
 caller unchanged on both backends; a worker that dies outside close() fails
 the decode with a DecodeError that names it.
+
+Every job completes with ``(value, stage seconds)``.  Stage seconds are
+recorded only when the decoder is built with ``profiling=True``; otherwise
+``stage_times()`` stays at zero.
 """
 from __future__ import annotations
 
@@ -38,8 +42,8 @@ from ..bitio import (
     split_container,
 )
 from ..kernels import KernelSet
-from ..reconstruct import FilterContext, PictureBuffers, Profile
-from ..syntax import MODE_INTER, PicParams
+from ..reconstruct import PROFILE_STAGES, FilterContext, PictureBuffers
+from ..syntax import MODE_INTER, PicParams, ctu_grid
 from . import exec as ex
 from .jobs import build_job_graph, gate_rows
 from .scheduler import Scheduler
@@ -109,7 +113,7 @@ class Decoder:
         self.seq = seq
         self.config = config
         self.sched = Scheduler()
-        self.profile = Profile()
+        self._stage_s = dict.fromkeys(PROFILE_STAGES, 0.0)
         self.pics: dict[int, _Picture] = {}
         self.pending: deque[tuple[PictureHeader, bytes]] = deque()
         self.next_feed_id = 0
@@ -117,9 +121,7 @@ class Decoder:
         self.eos = False
         self.error: Exception | None = None
         self.closed = False
-        self.stats = {"mcpre_jobs": 0}
-        self._grid_rows = (seq.height + seq.ctu_size - 1) // seq.ctu_size
-        self._grid_cols = (seq.width + seq.ctu_size - 1) // seq.ctu_size
+        self._grid_rows, self._grid_cols = ctu_grid(seq.width, seq.height, seq.ctu_size)
 
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -142,7 +144,7 @@ class Decoder:
             ]
         else:
             bufs = [PictureBuffers(seq, wide=config.wide) for _ in range(n_slots)]
-        self._env = ex.JobEnv(KernelSet(simd=config.simd), bufs)
+        self._env = ex.JobEnv(KernelSet(simd=config.simd), bufs, config.profiling)
         if self._multiproc:
             # mp.Queue buffers through a feeder thread, so put() never blocks
             # on a full pipe; a SimpleQueue here deadlocks master against
@@ -214,16 +216,14 @@ class Decoder:
         if kind == "recon":
             _, _, r, c = key
             return (key, pic.slot, pic.params, pic.ctus[r * self._grid_cols + c],
-                    pic.lmcs_counts, self.config.profiling)
+                    pic.lmcs_counts)
         if kind == "mcpre":
             _, pid, r, c, i = key
             ctu = pic.ctus[r * self._grid_cols + c]
-            return (key, pic.slot, self.pics[pid - 1].slot, pic.params,
-                    ctu.cus[i], self.config.profiling)
+            return (key, pic.slot, self.pics[pid - 1].slot, pic.params, ctu.cus[i])
         if kind == "filter":
             _, pid, row = key
-            return (key, pic.slot, row, pic.params, pic.fctx.slice_for_row(row),
-                    self.config.profiling)
+            return (key, pic.slot, row, pic.params, pic.fctx.slice_for_row(row))
         raise ValueError(kind)
 
     def _push_ready(self) -> None:
@@ -285,35 +285,29 @@ class Decoder:
                         self._fail(-1, f"worker {w.name} (pid {w.pid}) died "
                                        f"with exit code {w.exitcode}")
 
-    def _handle_done(self, key: tuple, payload) -> None:
+    def _handle_done(self, key: tuple, payload: tuple) -> None:
         kind = key[0]
         pic = self.pics[key[1]]
+        value, times = payload
+        if times:
+            for stage, secs in times.items():
+                self._stage_s[stage] += secs
         if kind == "parse":
-            ctus, secs = payload
-            pic.ctus = ctus
+            pic.ctus = value
             pic.fctx = FilterContext.from_ctus(
-                ctus, pic.params,
+                value, pic.params,
                 alf_coeffs=tuple(pic.header.alf_coeffs) if pic.header.alf_coeffs else None,
                 ccalf_coeffs=tuple(map(tuple, pic.header.ccalf_coeffs))
                 if pic.header.ccalf_coeffs else None,
             )
-            self.profile.add("entropy", secs)
             if pic.params.pic_type == 1:
                 self._spawn_prefetch(pic)
         elif kind == "recon":
             pic.recon_remaining -= 1
-            if payload:
-                self.profile.merge(payload)
             if pic.recon_remaining == 0:
                 self._maybe_release_slot(pic.pic_id - 1)
-        elif kind == "mcpre":
-            if payload:
-                self.profile.merge(payload)
         elif kind == "filter":
-            finalized, times = payload
-            if times:
-                self.profile.merge(times)
-            self.sched.advance_finalized(pic.pic_id, finalized)
+            self.sched.advance_finalized(pic.pic_id, value)
         self.sched.complete(key)
         self._cond.notify_all()
 
@@ -330,7 +324,6 @@ class Decoder:
                 for i, cu in enumerate(ctu.cus):
                     if cu.mode != MODE_INTER:
                         continue
-                    self.stats["mcpre_jobs"] += 1
                     self.sched.add_prefetch(
                         ("mcpre", pic.pic_id, r, c, i), gate,
                         ("recon", pic.pic_id, r, c),
@@ -428,13 +421,18 @@ class Decoder:
                 self.pics.pop(pic_id - 1, None)
             return frame
 
-    def stage_profile(self) -> dict[str, float]:
-        with self._lock:
-            return self.profile.percentages()
-
     def stage_times(self) -> dict[str, float]:
+        """Seconds spent in each of ``PROFILE_STAGES``, summed over every job
+        so far; all zero unless the decoder was built with ``profiling=True``."""
         with self._lock:
-            return dict(self.profile.t)
+            return dict(self._stage_s)
+
+    def stage_profile(self) -> dict[str, float]:
+        """``stage_times()`` as percentages of their sum (all zero when the
+        sum is zero, as it is with ``profiling=False``)."""
+        times = self.stage_times()
+        total = sum(times.values())
+        return {k: 100.0 * v / total if total > 0 else 0.0 for k, v in times.items()}
 
     def close(self) -> None:
         with self._cond:

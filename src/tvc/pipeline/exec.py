@@ -2,11 +2,11 @@
 
 The inline executor and the worker processes both call ``run_job`` with the
 message tuple ``Decoder._job_message`` builds, so ``workers=1`` runs the
-same job code as the pool.
+same job code as the pool.  Stage times are recorded only when the decoder
+was built with ``profiling=True``, which ``JobEnv`` carries to every job.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,13 +16,13 @@ from ..kernels import KernelSet
 from ..kernels.filters import lmcs_build_inverse
 from ..reconstruct import (
     PictureBuffers,
-    Profile,
     ReconContext,
+    StageClock,
     compute_mc_prediction,
     execute_filter_row,
     reconstruct_ctu,
 )
-from ..syntax import CtxBank, MotionField, ParsedCtu, PicParams, parse_ctu
+from ..syntax import CtxBank, MotionField, ParsedCtu, PicParams, ctu_grid, parse_ctu
 
 LUT_CACHE_PICTURES = 16
 
@@ -36,6 +36,7 @@ class JobEnv:
     """
     kset: KernelSet
     bufs: list[PictureBuffers]                 # one per DPB slot
+    profiling: bool                            # record stage seconds per job
     luts: dict[int, np.ndarray | None] = field(default_factory=dict)
 
     def lmcs_lut(self, pic_id: int, counts, bit_depth: int) -> np.ndarray | None:
@@ -48,60 +49,46 @@ class JobEnv:
         return self.luts[pic_id]
 
 
-def parse_picture_payload(payload: bytes, params: PicParams) -> tuple[list[ParsedCtu], float]:
+def parse_picture_payload(payload: bytes, params: PicParams) -> list[ParsedCtu]:
     """Entropy-decode every CTU of one picture (strictly serial)."""
-    t0 = time.perf_counter()
     dec = RangeDecoder(payload)
     bank = CtxBank()
     mf = MotionField(params.width, params.height)
-    rows = (params.height + params.ctu_size - 1) // params.ctu_size
-    cols = (params.width + params.ctu_size - 1) // params.ctu_size
-    ctus = []
-    for r in range(rows):
-        for c in range(cols):
-            ctus.append(parse_ctu(dec, bank, r, c, params, mf))
-    return ctus, time.perf_counter() - t0
+    rows, cols = ctu_grid(params.width, params.height, params.ctu_size)
+    return [parse_ctu(dec, bank, r, c, params, mf)
+            for r in range(rows) for c in range(cols)]
 
 
-def _stage_times(profile: Profile | None, t0: float) -> dict | None:
-    """A job's stage seconds, with its unattributed time as "other"."""
-    if profile is None:
-        return None
-    profile.add("other", max(0.0, (time.perf_counter() - t0) - sum(profile.t.values())))
-    return profile.t
-
-
-def run_job(msg: tuple, env: JobEnv):
+def run_job(msg: tuple, env: JobEnv) -> tuple:
     """Execute one job message (``msg[0]`` is its key) and return the payload
-    its completion carries: ``(ctus, seconds)`` for parse, ``(finalized rows,
-    stage times)`` for filter, stage times for recon and mcpre.  Stage times
-    are None unless the message asks for profiling."""
+    its completion carries: ``(value, stage seconds)``.  The value is the
+    parsed CTUs for parse, the finalized luma row count for filter, and None
+    for recon and mcpre.  Stage seconds are None unless ``env.profiling``;
+    time no stage claims is charged to "other"."""
+    clock = StageClock(env.profiling)
     kind = msg[0][0]
+    value = None
     if kind == "parse":
         _, payload, params = msg
-        return parse_picture_payload(payload, params)
-    if kind == "recon":
-        key, slot, params, ctu, lmcs_counts, profiling = msg
-        profile = Profile() if profiling else None
+        value = parse_picture_payload(payload, params)
+        clock.lap("entropy")
+    elif kind == "recon":
+        key, slot, params, ctu, lmcs_counts = msg
         ctx = ReconContext(
             pic=params, kernels=env.kset, bufs=env.bufs[slot],
             lmcs_lut=env.lmcs_lut(key[1], lmcs_counts, params.bit_depth),
-            profile=profile,
+            clock=clock,
         )
-        t0 = time.perf_counter()
         reconstruct_ctu(ctu, ctx)
-        return _stage_times(profile, t0)
-    if kind == "mcpre":
-        _, slot, ref_slot, params, cu, profiling = msg
-        t0 = time.perf_counter()
+    elif kind == "mcpre":
+        _, slot, ref_slot, params, cu = msg
         ctx = ReconContext(pic=params, kernels=env.kset, bufs=env.bufs[slot],
                            ref_bufs=env.bufs[ref_slot])
         compute_mc_prediction(cu, ctx)
-        return {"inter": time.perf_counter() - t0} if profiling else None
-    if kind == "filter":
-        _, slot, row, params, fctx, profiling = msg
-        profile = Profile() if profiling else None
-        t0 = time.perf_counter()
-        finalized = execute_filter_row(row, env.bufs[slot], fctx, env.kset, profile)
-        return finalized, _stage_times(profile, t0)
-    raise ValueError(f"unknown job kind {kind!r}")
+        clock.lap("inter")
+    elif kind == "filter":
+        _, slot, row, params, fctx = msg
+        value = execute_filter_row(row, env.bufs[slot], fctx, env.kset, clock)
+    else:
+        raise ValueError(f"unknown job kind {kind!r}")
+    return value, clock.stop()

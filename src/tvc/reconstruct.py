@@ -39,6 +39,7 @@ from .syntax import (
     ParsedCtu,
     PicParams,
     Rect,
+    ctu_grid,
 )
 
 LANE_PAD = 32          # rows padded to a multiple of the widest vector lane
@@ -76,7 +77,6 @@ class PictureBuffers:
     def __init__(self, seq: SequenceHeader, wide: bool = False,
                  backing: np.ndarray | None = None, clear: bool = True) -> None:
         self.seq = seq
-        self.wide = wide
         dtype = sample_dtype(seq.bit_depth, wide)
         self.planes: dict[str, np.ndarray] = {}
         offset = 0
@@ -90,7 +90,6 @@ class PictureBuffers:
                     arr[:] = 0
             offset += count * dtype.itemsize
             self.planes[name] = arr.reshape(h, stride)[:, :w]
-        self.nbytes = offset
 
     def clear(self) -> None:
         for plane in self.planes.values():
@@ -108,39 +107,27 @@ class PictureBuffers:
         return self.planes[f"{comp}.{stage}"]
 
 
-class Profile:
-    """Per-stage wall-time accumulator (seconds)."""
+class StageClock:
+    """Seconds per ``PROFILE_STAGES`` entry, charged lap by lap from one job's
+    start.  With profiling off ``times`` is None and a lap reads no clock."""
 
-    def __init__(self) -> None:
-        self.t = {k: 0.0 for k in PROFILE_STAGES}
+    __slots__ = ("times", "t0")
 
-    def add(self, stage: str, dt: float) -> None:
-        self.t[stage] += dt
-
-    def merge(self, other: dict[str, float]) -> None:
-        for k, v in other.items():
-            self.t[k] += v
-
-    def percentages(self) -> dict[str, float]:
-        total = sum(self.t.values())
-        if total <= 0:
-            return {k: 0.0 for k in self.t}
-        return {k: 100.0 * v / total for k, v in self.t.items()}
-
-
-class _Clock:
-    __slots__ = ("profile", "t0")
-
-    def __init__(self, profile: Profile | None) -> None:
-        self.profile = profile
-        self.t0 = time.perf_counter() if profile else 0.0
+    def __init__(self, on: bool = False) -> None:
+        self.times = dict.fromkeys(PROFILE_STAGES, 0.0) if on else None
+        self.t0 = time.perf_counter() if on else 0.0
 
     def lap(self, stage: str) -> None:
-        if self.profile is None:
-            return
-        t1 = time.perf_counter()
-        self.profile.add(stage, t1 - self.t0)
-        self.t0 = t1
+        """Charge the time since the previous lap to ``stage``."""
+        if self.times is not None:
+            t1 = time.perf_counter()
+            self.times[stage] += t1 - self.t0
+            self.t0 = t1
+
+    def stop(self) -> dict[str, float] | None:
+        """Charge what no stage claimed to "other"; the stage seconds."""
+        self.lap("other")
+        return self.times
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +170,7 @@ class ReconContext:
     bufs: PictureBuffers
     ref_bufs: PictureBuffers | None = None       # previous picture, read by MC only
     lmcs_lut: np.ndarray | None = None
-    profile: Profile | None = None
-
-
-_NO_CLOCK = _Clock(None)
+    clock: StageClock = field(default_factory=StageClock)
 
 
 def _residual_block(cu, plane_idx, w, h, qp, kset, bit_depth):
@@ -235,12 +219,10 @@ def predict_cu(cu, ctx: ReconContext, planes: list[np.ndarray], avail) -> list[n
     return preds
 
 
-def reconstruct_cu(cu, ctx: ReconContext, planes: list[np.ndarray], avail,
-                   clock: _Clock | None = None) -> None:
+def reconstruct_cu(cu, ctx: ReconContext, planes: list[np.ndarray], avail) -> None:
     """Write one CU's prediction plus its decoded residual into ``planes``."""
-    clock = clock or _NO_CLOCK
     preds = predict_cu(cu, ctx, planes, avail)
-    clock.lap("inter" if cu.mode == MODE_INTER else "intra")
+    ctx.clock.lap("inter" if cu.mode == MODE_INTER else "intra")
     kset = ctx.kernels
     qp = ctx.pic.qp
     bd = ctx.pic.bit_depth
@@ -264,7 +246,7 @@ def reconstruct_cu(cu, ctx: ReconContext, planes: list[np.ndarray], avail,
                 np.maximum(out, 0, out=out)
                 np.minimum(out, smax, out=out)
         plane[y : y + h, x : x + w] = out
-    clock.lap("iqit")
+    ctx.clock.lap("iqit")
 
 
 def apply_lmcs_ctu(ctx: ReconContext, row: int, col: int) -> None:
@@ -281,13 +263,12 @@ def reconstruct_ctu(ctu: ParsedCtu, ctx: ReconContext) -> None:
     pic = ctx.pic
     planes = [ctx.bufs.get(comp, "recon") for comp in ctx.bufs.comp_names()]
     progress = syntax.ReconProgress(pic.width, pic.height, pic.ctu_size, ctu.row, ctu.col)
-    clock = _Clock(ctx.profile)
     for cu in ctu.cus:
-        reconstruct_cu(cu, ctx, planes, progress.sample_available, clock)
+        reconstruct_cu(cu, ctx, planes, progress.sample_available)
         progress.mark_cu(cu.rect)
     if ctx.lmcs_lut is not None:
         apply_lmcs_ctu(ctx, ctu.row, ctu.col)
-        clock.lap("lmcs")
+        ctx.clock.lap("lmcs")
 
 
 def compute_mc_prediction(cu, ctx: ReconContext) -> None:
@@ -487,17 +468,12 @@ def _per_ctu_spans(y0: int, y1: int, cs: int):
     return out
 
 
-def _grid(pic: PicParams) -> tuple[int, int]:
-    """(CTU rows, CTU columns) of a picture."""
-    cs = pic.ctu_size
-    return (pic.height + cs - 1) // cs, (pic.width + cs - 1) // cs
-
-
 def deblock_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
                 kset: KernelSet) -> None:
     """Copy CTU row ``row`` from recon to dblk, then filter its edges."""
     pic = fctx.pic
-    d0, d1 = band_limits(row, _grid(pic)[0], pic.ctu_size, pic.height)["dblk"]
+    n_rows, _ = ctu_grid(pic.width, pic.height, pic.ctu_size)
+    d0, d1 = band_limits(row, n_rows, pic.ctu_size, pic.height)["dblk"]
     for comp in bufs.comp_names():
         scale = 1 if comp == "y" else 2
         b0, b1 = d0 // scale, -(-d1 // scale)
@@ -514,7 +490,7 @@ def sao_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
     applies in each plane's own sample units.
     """
     pic = fctx.pic
-    n_rows, n_cols = _grid(pic)
+    n_rows, n_cols = ctu_grid(pic.width, pic.height, pic.ctu_size)
     for comp_idx, comp in enumerate(bufs.comp_names()):
         dblk = bufs.get(comp, "dblk")
         sao = bufs.get(comp, "sao")
@@ -541,7 +517,7 @@ def alf_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
     """Luma ALF over band ``row``'s stable rows, sao -> final."""
     pic = fctx.pic
     cs = pic.ctu_size
-    n_rows, n_cols = _grid(pic)
+    n_rows, n_cols = ctu_grid(pic.width, pic.height, pic.ctu_size)
     y_sao = bufs.get("y", "sao")
     y_final = bufs.get("y", "final")
     a0, a1 = band_limits(row, n_rows, cs, pic.height)["alf"]
@@ -567,7 +543,7 @@ def ccalf_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
     if pic.num_planes != 3:
         return
     cs = pic.ctu_size
-    n_rows, n_cols = _grid(pic)
+    n_rows, n_cols = ctu_grid(pic.width, pic.height, pic.ctu_size)
     use_ccalf = pic.has_tool(TOOL_CCALF) and fctx.ccalf_coeffs is not None
     c1 = pic.height // 2 if row == n_rows - 1 else ((row + 1) * cs - 6) // 2
     c0 = 0 if row == 0 else (row * cs - 6) // 2
@@ -590,15 +566,16 @@ def ccalf_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
 
 
 def execute_filter_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
-                       kset: KernelSet, profile: Profile | None = None) -> int:
-    """Run DBLK -> SAO -> ALF -> CCALF over CTU row ``row``'s finalizable band.
+                       kset: KernelSet, clock: StageClock) -> int:
+    """Run DBLK -> SAO -> ALF -> CCALF over CTU row ``row``'s finalizable band,
+    charging each stage's time to ``clock``.
 
     Returns the new finalized luma row count.
     """
-    clock = _Clock(profile)
     for name, stage in (("dblk", deblock_row), ("sao", sao_row),
                         ("alf", alf_row), ("ccalf", ccalf_row)):
         stage(row, bufs, fctx, kset)
         clock.lap(name)
     pic = fctx.pic
-    return band_limits(row, _grid(pic)[0], pic.ctu_size, pic.height)["final"][1]
+    n_rows, _ = ctu_grid(pic.width, pic.height, pic.ctu_size)
+    return band_limits(row, n_rows, pic.ctu_size, pic.height)["final"][1]

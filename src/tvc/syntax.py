@@ -299,6 +299,11 @@ def residual_plan(w: int, h: int) -> tuple[tuple[int, ...], tuple[int, ...],
     return flat, tuple(scan_of), tuple(tuple(r) for r in reversed(runs))
 
 
+def ctu_grid(width: int, height: int, ctu_size: int) -> tuple[int, int]:
+    """(CTU rows, CTU columns) of a picture; border CTUs may be partial."""
+    return -(-height // ctu_size), -(-width // ctu_size)
+
+
 @dataclass
 class PicParams:
     """Per-picture parse parameters shared by reader and writer."""

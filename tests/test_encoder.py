@@ -41,7 +41,7 @@ def parsed_pictures(blob):
     for unit in units:
         header, payload = bitio.parse_picture_header(unit, seq)
         params = params_from_headers(seq, header)
-        out.append((header, params, parse_picture_payload(payload, params)[0]))
+        out.append((header, params, parse_picture_payload(payload, params)))
     return out
 
 

@@ -36,7 +36,7 @@ from tvc.pipeline.exec import parse_picture_payload
 from tvc.pipeline.jobs import assert_acyclic
 from tvc.pipeline.scheduler import Scheduler
 from tvc.pipeline.jobs import Job
-from tvc.reconstruct import band_limits, build_boundary_meta
+from tvc.reconstruct import PROFILE_STAGES, band_limits, build_boundary_meta
 from tvc.syntax import MODE_INTER
 
 
@@ -124,18 +124,10 @@ def test_p_picture_row0_gate_example(corpus_cache, monkeypatch):
     # only a P picture's mcpre jobs are gated, each on its CTU row's rows of
     # the previous picture; no static job carries a gate
     assert all(j.gate is None for j in build_job_graph(1, 2, 2).values())
-    seen = []
-    add_prefetch = Scheduler.add_prefetch
-
-    def spy(self, key, gate, recon_key):
-        seen.append((key, gate))
-        add_prefetch(self, key, gate, recon_key)
-
-    monkeypatch.setattr(Scheduler, "add_prefetch", spy)
+    seen = spy_prefetch(monkeypatch)
     blob, _ = corpus_cache.get("ipp_ds_10")
-    dec = drain(blob, DecoderConfig(workers=1))
-    seq = dec.seq
-    assert len(seen) == dec.stats["mcpre_jobs"] > 0
+    seq = drain(blob, DecoderConfig(workers=1)).seq
+    assert seen
     for (kind, pic, r, _c, _i), gate in seen:
         assert kind == "mcpre" and pic > 0
         assert gate == (pic - 1, gate_rows(r, seq.ctu_size, seq.height, seq.max_mv_y))
@@ -269,6 +261,19 @@ def test_worker_counts_produce_identical_hashes(corpus_cache):
         assert digests == base, f"workers={workers}"
 
 
+def spy_prefetch(monkeypatch) -> list:
+    """Record the (key, gate) of every mcpre job the scheduler is given."""
+    seen = []
+    add_prefetch = Scheduler.add_prefetch
+
+    def spy(self, key, gate, recon_key):
+        seen.append((key, gate))
+        add_prefetch(self, key, gate, recon_key)
+
+    monkeypatch.setattr(Scheduler, "add_prefetch", spy)
+    return seen
+
+
 def drain(data, config):
     """Decode a whole container; return the closed decoder."""
     seq, units = bitio.split_container(data)
@@ -281,12 +286,16 @@ def drain(data, config):
     return dec
 
 
-def test_mcpre_spawn_counts(corpus_cache):
+def test_mcpre_spawn_counts(corpus_cache, monkeypatch):
     # one prefetch job per inter CU of every P picture; all-intra streams
     # spawn none
+    seen = spy_prefetch(monkeypatch)
+
     def mcpre_jobs(name):
         data, _ = corpus_cache.get(name)
-        return drain(data, DecoderConfig(workers=1)).stats["mcpre_jobs"]
+        seen.clear()
+        drain(data, DecoderConfig(workers=1))
+        return len(seen)
     assert mcpre_jobs("ai_grad_8_loops") == 0
     blob, _ = corpus_cache.get("ipp_ds_10")
     seq, units = bitio.split_container(blob)
@@ -294,20 +303,33 @@ def test_mcpre_spawn_counts(corpus_cache):
     for unit in units:
         header, payload = bitio.parse_picture_header(unit, seq)
         params = params_from_headers(seq, header)
-        ctus, _ = parse_picture_payload(payload, params)
+        ctus = parse_picture_payload(payload, params)
         inter_cus += sum(cu.mode == MODE_INTER for ctu in ctus for cu in ctu.cus)
     assert mcpre_jobs("ipp_ds_10") == inter_cus > 0
 
 
-def test_pool_bookkeeping_matches_inline(corpus_cache):
+def test_pool_bookkeeping_matches_inline(corpus_cache, monkeypatch):
+    seen = spy_prefetch(monkeypatch)
     blob, _ = corpus_cache.get("ipp_ds_10")
     inline = drain(blob, DecoderConfig(workers=1, profiling=True))
+    inline_mcpre = len(seen)
     pool = drain(blob, DecoderConfig(workers=2, profiling=True))
-    assert pool.stats["mcpre_jobs"] == inline.stats["mcpre_jobs"] > 0
+    assert len(seen) - inline_mcpre == inline_mcpre > 0
+    # decodebench reads every stage's seconds by name
+    for dec in (inline, pool):
+        assert list(dec.stage_times()) == list(PROFILE_STAGES)
     shares = pool.stage_profile()
     assert list(shares) == list(inline.stage_profile())
     assert abs(sum(shares.values()) - 100.0) <= 0.5
     assert shares["inter"] > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_profiling_off_records_no_stage_time(corpus_cache, workers):
+    blob, _ = corpus_cache.get("ipp_qp22_8")
+    times = drain(blob, DecoderConfig(workers=workers)).stage_times()
+    assert set(times) == set(PROFILE_STAGES)
+    assert all(v == 0.0 for v in times.values()), times
 
 
 def test_corrupt_payload_error_on_both_backends(corpus_cache):
@@ -531,7 +553,7 @@ def serial_filter_oracle(blob):
     for unit in units:
         header, payload = bitio.parse_picture_header(unit, seq)
         params = params_from_headers(seq, header)
-        ctus, _ = parse_picture_payload(payload, params)
+        ctus = parse_picture_payload(payload, params)
         bufs = PictureBuffers(seq)
         lut = (lmcs_build_inverse(header.lmcs_counts, seq.bit_depth)
                if header.lmcs_counts else None)
