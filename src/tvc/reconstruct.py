@@ -375,12 +375,16 @@ def deblock_band(bufs: PictureBuffers, comp: str, meta: BoundaryMeta,
     scale = 1 if comp == "y" else 2
     grid = 4              # in plane samples; chroma grid 4 = luma grid 8
 
+    # Boundary strength belongs to a 4x4 cell pair: it is derived once per
+    # cell row (column) and spread to the sample rows (columns) it covers.
+
     # vertical edges: x on grid, all rows in band; (edge, row) cells, x-major
     ys = np.arange(y_start, y_end, dtype=np.intp)
     ex = np.arange(grid, w, grid, dtype=np.intp)
-    cell_r = ((ys * scale) // 4 - meta.row_off)[None, :]
+    row_cell = (ys * scale) // 4 - meta.row_off
+    cell_r = np.arange(row_cell[0], row_cell[-1] + 1)[None, :]
     cell_c = ((ex * scale) // 4)[:, None]
-    bs = _edge_bs(meta, cell_r, cell_c - 1, cell_r, cell_c)
+    bs = _edge_bs(meta, cell_r, cell_c - 1, cell_r, cell_c)[:, row_cell - row_cell[0]]
     ei, yi = bs.nonzero()
     if ei.size:
         kset.deblock_edge(plane, ys[yi], ex[ei], bs[ei, yi], pic.qp, True, pic.bit_depth)
@@ -390,8 +394,9 @@ def deblock_band(bufs: PictureBuffers, comp: str, meta: BoundaryMeta,
     ey = np.arange(max(grid, (y_start + grid - 1) // grid * grid), y_end, grid,
                    dtype=np.intp)
     cell_r = ((ey * scale) // 4 - meta.row_off)[:, None]
-    cell_c = ((xs * scale) // 4)[None, :]
-    bs = _edge_bs(meta, cell_r - 1, cell_c, cell_r, cell_c)
+    col_cell = (xs * scale) // 4
+    cell_c = np.arange(col_cell[-1] + 1)[None, :]
+    bs = _edge_bs(meta, cell_r - 1, cell_c, cell_r, cell_c)[:, col_cell]
     ei, xi = bs.nonzero()
     if ei.size:
         kset.deblock_edge(plane, ey[ei], xs[xi], bs[ei, xi], pic.qp, False, pic.bit_depth)

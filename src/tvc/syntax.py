@@ -111,6 +111,7 @@ class CtxBank:
         self.cbf = [ProbContext() for _ in range(2)]     # luma, chroma
         self.mts = [ProbContext() for _ in range(2)]
         self.sig = [ProbContext() for _ in range(3)]     # scan-index terciles
+        self.grp = [ProbContext() for _ in range(3)]     # coded-group flags, by tercile
         self.gt1 = ProbContext()
         self.mvd_gt0 = ProbContext()
         self.mvd_gt1 = ProbContext()
@@ -274,29 +275,39 @@ def _sig_ctx(scan_idx: int, total: int) -> int:
     return 3 * scan_idx // total
 
 
+GROUP = 16  # consecutive scan positions behind one coded-group flag
+CodedGroup = tuple[int, tuple[tuple[int, int, int], ...]]  # (flag ctx, sig runs)
+
+
 @lru_cache(maxsize=None)
 def residual_plan(w: int, h: int) -> tuple[tuple[int, ...], tuple[int, ...],
-                                           tuple[tuple[int, int, int], ...]]:
+                                           tuple[CodedGroup, ...]]:
     """Scan plan of a ``w`` x ``h`` coefficient block, shared by parser and writer.
 
-    Returns ``(flat, scan_of, ranges)``: ``flat[s]`` is the row-major sample
-    index of zig-zag scan position ``s``, ``scan_of`` inverts it, and
-    ``ranges`` lists ``(first, last, ctx)`` runs of scan positions that share
-    the significance context ``_sig_ctx``, the last run first.
+    Returns ``(flat, scan_of, groups)``: ``flat[s]`` is the row-major sample
+    index of zig-zag scan position ``s`` and ``scan_of`` inverts it.
+    ``groups[g]`` is ``(ctx, runs)`` for coded group ``g``, scan positions
+    ``GROUP * g`` to ``GROUP * g + GROUP - 1``: ``ctx`` selects its flag's
+    context, the significance tercile of its first position, and ``runs``
+    lists the ``(first, last, ctx)`` runs of its positions that share the
+    significance context ``_sig_ctx``, the last run first.
     """
     total = w * h
     flat = tuple(y * w + x for y, x in zigzag_scan(w, h))
     scan_of = [0] * total
     for s, f in enumerate(flat):
         scan_of[f] = s
-    runs: list[list[int]] = []
-    for s in range(total):
-        ctx = _sig_ctx(s, total)
-        if runs and runs[-1][2] == ctx:
-            runs[-1][1] = s
-        else:
-            runs.append([s, s, ctx])
-    return flat, tuple(scan_of), tuple(tuple(r) for r in reversed(runs))
+    groups = []
+    for start in range(0, total, GROUP):
+        runs: list[list[int]] = []
+        for s in range(start, min(start + GROUP, total)):
+            ctx = _sig_ctx(s, total)
+            if runs and runs[-1][2] == ctx:
+                runs[-1][1] = s
+            else:
+                runs.append([s, s, ctx])
+        groups.append((_sig_ctx(start, total), tuple(tuple(r) for r in reversed(runs))))
+    return flat, tuple(scan_of), tuple(groups)
 
 
 def ctu_grid(width: int, height: int, ctu_size: int) -> tuple[int, int]:
@@ -382,35 +393,47 @@ def write_coding_tree(enc, bank: CtxBank, x: int, y: int, size: int, depth: int,
 
 
 def parse_residual(dec, bank: CtxBank, w: int, h: int) -> np.ndarray:
-    """Reverse zig-zag significance/level parse of one coefficient block.
+    """Reverse zig-zag parse of one coefficient block, one coded group at a time.
 
-    Every bin is one ``decode_bit``/``decode_bypass`` call on ``dec``, looked
-    up when the function runs: decodebench counts bins by wrapping those
-    methods on the coder class, so inlining a bin or binding the methods
-    ahead of time would make its bin check miscount.
+    The group holding ``last`` is coded implicitly. Each group below it
+    opens with a coded-group flag; a group flagged 0 holds only zeros and
+    codes no significance bins, and a group flagged 1 must hold a nonzero
+    level. Every bin is one ``decode_bit``/``decode_bypass`` call on ``dec``:
+    decodebench counts bins by wrapping those methods on the coder class.
+    Binding the methods when this function runs is fine; decoding a bin
+    without a call would make its bin check miscount.
     """
-    flat, scan_of, ranges = residual_plan(w, h)
+    flat, scan_of, groups = residual_plan(w, h)
     lx = dec.decode_bypass_bits(w.bit_length() - 1)
     ly = dec.decode_bypass_bits(h.bit_length() - 1)
     last = scan_of[ly * w + lx]
     decode_bit, decode_bypass, decode_eg = dec.decode_bit, dec.decode_bypass, dec.decode_eg
-    sig, gt1 = bank.sig, bank.gt1
+    sig, gt1, grp = bank.sig, bank.gt1, bank.grp
     pos: list[int] = []
     lev: list[int] = []
-    for first, end, ctx in ranges:
-        if first > last:
-            continue
-        sig_ctx = sig[ctx]
-        for s in range(min(end, last), first - 1, -1):
-            if decode_bit(sig_ctx):
-                if decode_bit(gt1):
-                    mag = 2 + decode_eg(0)
-                    if mag > MAX_LEVEL:
-                        raise CorruptStreamError(f"coefficient level {mag} overflows")
-                else:
-                    mag = 1
-                pos.append(flat[s])
-                lev.append(-mag if decode_bypass() else mag)
+    flagged = False                              # the group holding last has no flag
+    for grp_ctx, runs in groups[last // GROUP :: -1]:
+        if flagged:
+            if not decode_bit(grp[grp_ctx]):
+                continue
+            before = len(pos)
+        for first, end, ctx in runs:
+            if first > last:
+                continue
+            sig_ctx = sig[ctx]
+            for s in range(end if end < last else last, first - 1, -1):
+                if decode_bit(sig_ctx):
+                    if decode_bit(gt1):
+                        mag = 2 + decode_eg(0)
+                        if mag > MAX_LEVEL:
+                            raise CorruptStreamError(f"coefficient level {mag} overflows")
+                    else:
+                        mag = 1
+                    pos.append(flat[s])
+                    lev.append(-mag if decode_bypass() else mag)
+        if flagged and len(pos) == before:
+            raise CorruptStreamError(f"coded group {first // GROUP} holds no nonzero level")
+        flagged = True
     block = np.zeros((h, w), dtype=np.int16)
     block.flat[pos] = lev
     return block
@@ -418,32 +441,40 @@ def parse_residual(dec, bank: CtxBank, w: int, h: int) -> np.ndarray:
 
 def write_residual(enc, bank: CtxBank, block: np.ndarray) -> None:
     h, w = block.shape
-    flat, scan_of, ranges = residual_plan(w, h)
+    flat, scan_of, groups = residual_plan(w, h)
     levels = block.ravel().tolist()
-    nonzero = np.flatnonzero(block).tolist()
-    assert nonzero, "cbf=1 blocks must contain a nonzero level"
-    last = max(scan_of[f] for f in nonzero)
+    scans = [scan_of[f] for f in np.flatnonzero(block).tolist()]
+    assert scans, "cbf=1 blocks must contain a nonzero level"
+    last = max(scans)
+    coded = {s // GROUP for s in scans}
     ly, lx = divmod(flat[last], w)
     enc.encode_bypass_bits(lx, w.bit_length() - 1)
     enc.encode_bypass_bits(ly, h.bit_length() - 1)
     encode_bit, encode_bypass = enc.encode_bit, enc.encode_bypass
-    sig, gt1 = bank.sig, bank.gt1
-    for first, end, ctx in ranges:
-        if first > last:
-            continue
-        sig_ctx = sig[ctx]
-        for s in range(min(end, last), first - 1, -1):
-            level = levels[flat[s]]
-            if not level:
-                encode_bit(sig_ctx, 0)
+    sig, gt1, grp = bank.sig, bank.gt1, bank.grp
+    top = last // GROUP
+    for g in range(top, -1, -1):
+        grp_ctx, runs = groups[g]
+        if g < top:
+            encode_bit(grp[grp_ctx], 1 if g in coded else 0)
+            if g not in coded:
                 continue
-            encode_bit(sig_ctx, 1)
-            mag = abs(level)
-            assert mag <= MAX_LEVEL
-            encode_bit(gt1, 1 if mag > 1 else 0)
-            if mag > 1:
-                enc.encode_eg(0, mag - 2)
-            encode_bypass(1 if level < 0 else 0)
+        for first, end, ctx in runs:
+            if first > last:
+                continue
+            sig_ctx = sig[ctx]
+            for s in range(end if end < last else last, first - 1, -1):
+                level = levels[flat[s]]
+                if not level:
+                    encode_bit(sig_ctx, 0)
+                    continue
+                encode_bit(sig_ctx, 1)
+                mag = abs(level)
+                assert mag <= MAX_LEVEL
+                encode_bit(gt1, 1 if mag > 1 else 0)
+                if mag > 1:
+                    enc.encode_eg(0, mag - 2)
+                encode_bypass(1 if level < 0 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from corpus_def import CORPUS, build_stream
 from tvc import bitio, corpus
 from tvc.encoder import (
     ALF_CANDIDATES,
@@ -54,6 +55,29 @@ def test_ai_noise_closure_bit_exact():
     for fr, rc in zip(decoded, recons):
         for dp, rp in zip(fr.planes, rc):
             assert np.array_equal(dp, rp)
+
+
+def count_bins(monkeypatch, coder, ctx_method, bypass_method):
+    """Count calls of a coder class's context and bypass bin methods."""
+    counts = {"ctx": 0, "bypass": 0}
+    for kind, name in (("ctx", ctx_method), ("bypass", bypass_method)):
+        def counted(self, *args, _kind=kind, _orig=getattr(coder, name)):
+            counts[_kind] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(coder, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("sd", CORPUS, ids=lambda sd: sd.name)
+def test_corpus_bins_decoded_equal_bins_encoded(sd, monkeypatch):
+    """Full-quadtree bin closure: an inline decode reads, one call per bin,
+    exactly the context and bypass bins the encoder coded."""
+    encoded = count_bins(monkeypatch, bitio.RangeEncoder, "encode_bit", "encode_bypass")
+    blob, _ = build_stream(sd)
+    decoded = count_bins(monkeypatch, bitio.RangeDecoder, "decode_bit", "decode_bypass")
+    assert len(list(decode_container(blob, DecoderConfig(workers=1)))) == sd.frames
+    assert encoded["ctx"] > 0 and encoded["bypass"] > 0
+    assert decoded == encoded
 
 
 def test_qp0_beats_qp50():

@@ -307,21 +307,28 @@ CODED_SIZES = ((4, 4), (8, 8), (16, 16), (32, 32), (64, 64), (8, 4))
 def test_residual_plan_matches_sig_ctx():
     for w, h in CODED_SIZES:
         order = zigzag_scan(w, h)
-        flat, scan_of, ranges = syntax.residual_plan(w, h)
+        flat, scan_of, groups = syntax.residual_plan(w, h)
         total = w * h
         assert [flat[s] for s in range(total)] == [y * w + x for y, x in order]
         assert all(scan_of[f] == s for s, f in enumerate(flat))
-        ctx_of = [None] * total
-        for first, last, ctx in ranges:
-            for s in range(first, last + 1):
-                assert ctx_of[s] is None
-                ctx_of[s] = ctx
+        assert len(groups) == -(-total // 16)
+        ctx_of, group_of = [None] * total, [None] * total
+        for g, (grp_ctx, runs) in enumerate(groups):
+            assert grp_ctx == syntax._sig_ctx(16 * g, total)
+            walk = [s for first, last, _ in runs for s in range(last, first - 1, -1)]
+            assert walk == list(range(min(16 * g + 15, total - 1), 16 * g - 1, -1))
+            assert all(a[2] > b[2] for a, b in zip(runs, runs[1:]))
+            for first, last, ctx in runs:
+                for s in range(first, last + 1):
+                    assert ctx_of[s] is None
+                    ctx_of[s], group_of[s] = ctx, g
         assert ctx_of == [syntax._sig_ctx(s, total) for s in range(total)]
-        assert [r[2] for r in ranges] == [2, 1, 0]
+        assert group_of == [s // 16 for s in range(total)]
 
 
 def reference_write_residual(enc, bank, block):
-    """The per-position writer the plan-driven one replaced."""
+    """Per-position writer of the coded-group format: a flag opens every
+    16-position group below the one holding ``last``."""
     h, w = block.shape
     order = zigzag_scan(w, h)
     total = w * h
@@ -333,7 +340,14 @@ def reference_write_residual(enc, bank, block):
     ly, lx = order[last]
     enc.encode_bypass_bits(lx, w.bit_length() - 1)
     enc.encode_bypass_bits(ly, h.bit_length() - 1)
+    skip = False
     for s in range(last, -1, -1):
+        if s % 16 == 15 and s // 16 < last // 16:
+            coded = any(block[order[t]] for t in range(s - 15, s + 1))
+            enc.encode_bit(bank.grp[syntax._sig_ctx(s - 15, total)], 1 if coded else 0)
+            skip = not coded
+        if skip:
+            continue
         level = int(block[order[s]])
         enc.encode_bit(bank.sig[syntax._sig_ctx(s, total)], 1 if level else 0)
         if level:
@@ -345,13 +359,19 @@ def reference_write_residual(enc, bank, block):
 
 
 def reference_parse_residual(dec, bank, w, h):
-    """The per-position parser the plan-driven one replaced."""
+    """Per-position parser of the coded-group format."""
     order = zigzag_scan(w, h)
     total = w * h
     lx = dec.decode_bypass_bits(w.bit_length() - 1)
     ly = dec.decode_bypass_bits(h.bit_length() - 1)
+    last = order.index((ly, lx))
     block = np.zeros((h, w), dtype=np.int16)
-    for s in range(order.index((ly, lx)), -1, -1):
+    skip = False
+    for s in range(last, -1, -1):
+        if s % 16 == 15 and s // 16 < last // 16:
+            skip = not dec.decode_bit(bank.grp[syntax._sig_ctx(s - 15, total)])
+        if skip:
+            continue
         if dec.decode_bit(bank.sig[syntax._sig_ctx(s, total)]):
             mag = 2 + dec.decode_eg(0) if dec.decode_bit(bank.gt1) else 1
             block[order[s]] = -mag if dec.decode_bypass() else mag
@@ -360,6 +380,7 @@ def reference_parse_residual(dec, bank, w, h):
 
 def context_names(bank):
     names = {id(c): f"sig{i}" for i, c in enumerate(bank.sig)}
+    names.update({id(c): f"grp{i}" for i, c in enumerate(bank.grp)})
     names[id(bank.gt1)] = "gt1"
     return names
 
@@ -433,6 +454,57 @@ def test_residual_level_overflow_is_corrupt():
     dec = RangeDecoder(enc.flush())
     with pytest.raises(CorruptStreamError, match=f"^coefficient level {MAX_LEVEL + 1} overflows$"):
         syntax.parse_residual(dec, CtxBank(), 4, 4)
+
+
+def test_sparse_block_codes_one_flag_per_empty_group():
+    """64x64 with levels at scan positions 0 and 4095: the group holding
+    ``last`` (16 sig, 1 gt1), 254 empty groups and group 0 (1 flag each),
+    then group 0's 16 sig and 1 gt1 bins."""
+    order = zigzag_scan(64, 64)
+    block = np.zeros((64, 64), dtype=np.int16)
+    block[order[0]], block[order[4095]] = 1, -1
+    bank = CtxBank()
+    enc = TracingEncoder(context_names(bank))
+    syntax.write_residual(enc, bank, block)
+    ctx_bins = [name for kind, _, name in enc.events if kind == "ctx"]
+    assert len(ctx_bins) == 16 + 255 + 16 + 2
+    assert sum(name.startswith("grp") for name in ctx_bins) == 255
+    dec = RangeDecoder(enc.flush())
+    assert (syntax.parse_residual(dec, CtxBank(), 64, 64) == block).all()
+
+
+@pytest.mark.parametrize("empty", [True, False])
+def test_empty_coded_group_is_corrupt(empty):
+    """One 32x32 CU whose group 0 is flagged coded: its 16 significance bins
+    must not all read 0."""
+    pic = make_pic(32, 32, ctu=32, tools=0, chroma=0)
+    bank = CtxBank()
+    enc = RangeEncoder()
+    enc.encode_bit(bank.split[0], 0)
+    enc.encode_bit(bank.intra_mode[0], 0)
+    enc.encode_bit(bank.intra_mode[1], 0)
+    enc.encode_bit(bank.cbf[0], 1)
+    enc.encode_bit(bank.mts[0], 0)
+    ly, lx = zigzag_scan(32, 32)[16]             # last = scan position 16, group 1
+    enc.encode_bypass_bits(lx, 5)
+    enc.encode_bypass_bits(ly, 5)
+    enc.encode_bit(bank.sig[0], 1)
+    enc.encode_bit(bank.gt1, 0)
+    enc.encode_bypass(0)
+    enc.encode_bit(bank.grp[0], 1)               # group 0 flagged coded
+    for s in range(15, -1, -1):
+        enc.encode_bit(bank.sig[0], 0 if empty or s else 1)
+    if not empty:
+        enc.encode_bit(bank.gt1, 0)
+        enc.encode_bypass(0)
+    args = (RangeDecoder(enc.flush()), CtxBank(), 0, 0, pic, MotionField(32, 32))
+    if empty:
+        with pytest.raises(CorruptStreamError,
+                           match=r"^CTU \(0,0\): coded group 0 holds no nonzero level$"):
+            syntax.parse_ctu(*args)
+    else:
+        coeffs = syntax.parse_ctu(*args).cus[0].coeffs[0]
+        assert np.flatnonzero(coeffs).tolist() == [0, 1 * 32 + 4]
 
 
 def test_zigzag_is_a_permutation():
