@@ -32,7 +32,6 @@ from .kernels import KernelSet
 from .kernels.filters import (
     alf_block_vector,
     ccalf_block_vector,
-    lmcs_build_inverse,
     sao_edge_class,
 )
 from .kernels.transforms import KIND_DCT2, mts_kinds
@@ -48,6 +47,7 @@ from .reconstruct import (
     compute_mc_prediction,
     deblock_row,
     gather_intra_refs,
+    inverse_lmcs_lut,
     predict_cu,
     reconstruct_ctu,
     reconstruct_cu,
@@ -170,12 +170,9 @@ class _PictureEncoder:
         self.lam = rd_lambda(header.qp)
         self.bufs = PictureBuffers(self.seq, wide=False)
         self.mf = MotionField(self.seq.width, self.seq.height)
-        self.lut = None
-        if header.lmcs_counts is not None:
-            self.lut = lmcs_build_inverse(header.lmcs_counts, self.seq.bit_depth)
         self.ctx = ReconContext(
-            pic=self.params, kernels=self.kset, bufs=self.bufs,
-            ref_bufs=ref, lmcs_lut=self.lut,
+            pic=self.params, kernels=self.kset, bufs=self.bufs, ref_bufs=ref,
+            lmcs_lut=inverse_lmcs_lut(header.lmcs_counts, self.seq.bit_depth),
         )
         self.planes = [self.recon_plane(p) for p in range(self.params.num_planes)]
         self.rows, self.cols = ctu_grid(self.seq.width, self.seq.height,
@@ -223,7 +220,7 @@ class _PictureEncoder:
                 self.avail = self.progress.sample_available
                 cus: list[ParsedCu] = []
                 self.quadtree_decide(Rect(c * cs, r * cs, cs, cs), 0, cus)
-                if self.lut is not None:
+                if self.ctx.lmcs_lut is not None:
                     apply_lmcs_ctu(self.ctx, r, c)
                 self.ctus.append(ParsedCtu(
                     row=r, col=c, cus=cus,
@@ -566,15 +563,10 @@ class Encoder:
     def _filter_picture(self, pe: _PictureEncoder) -> None:
         """Run the decoder's loop-filter stages one at a time over every CTU
         row, each decision taken on the planes the stages before it wrote."""
-        params, header = pe.params, pe.header
+        params = pe.params
 
         def run(stage) -> None:
-            fctx = FilterContext.from_ctus(
-                pe.ctus, params,
-                alf_coeffs=tuple(header.alf_coeffs) if header.alf_coeffs else None,
-                ccalf_coeffs=tuple(map(tuple, header.ccalf_coeffs))
-                if header.ccalf_coeffs else None,
-            )
+            fctx = FilterContext.from_ctus(pe.ctus, params, pe.header)
             for r in range(pe.rows):
                 stage(r, pe.bufs, fctx, self.kset)
 
@@ -732,9 +724,3 @@ class Encoder:
             syntax.write_ctu(enc, bank, ctu, pe.params, mf)
         payload = enc.flush()
         return write_picture_header(pe.header, self.seq, payload)
-
-
-def encode_sequence(frames, width: int, height: int, bit_depth: int,
-                    chroma_format: int, config: EncoderConfig):
-    enc = Encoder(width, height, bit_depth, chroma_format, config)
-    return enc.encode_sequence(frames)

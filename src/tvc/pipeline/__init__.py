@@ -5,7 +5,7 @@ from .decoder import (
     Frame,
     decode_container,
 )
-from .jobs import Job, build_job_graph, gate_rows, wavefront_deps
+from .jobs import Job, build_job_graph, ref_filter_row, wavefront_deps
 
 __all__ = [
     "DecodeError",
@@ -15,6 +15,6 @@ __all__ = [
     "Job",
     "build_job_graph",
     "decode_container",
-    "gate_rows",
+    "ref_filter_row",
     "wavefront_deps",
 ]

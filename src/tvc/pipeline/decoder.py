@@ -16,9 +16,11 @@ for it (``_push_ready``), so a queued parse of picture 2 never delays
 picture 0's reconstruction.
 
 P pictures motion-compensate in one "mcpre" job per inter CU, the only jobs
-gated on the reference's finalized rows.  A job's exception reaches the
-caller unchanged on both backends; a worker that dies outside close() fails
-the decode with a DecodeError that names it.
+that read the reference: each depends on the reference's filter row that
+finalizes the rows its CTU row may read.  A picture is output when its last
+filter row completes.  A job's exception reaches the caller unchanged on
+both backends; a worker that dies outside close() fails the decode with a
+DecodeError that names it.
 
 Every job completes with ``(value, stage seconds)``.  Stage seconds are
 recorded only when the decoder is built with ``profiling=True``; otherwise
@@ -34,18 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bitio import (
-    PictureHeader,
-    SequenceHeader,
-    TOOL_LMCS,
-    parse_picture_header,
-    split_container,
-)
+from ..bitio import PictureHeader, SequenceHeader, parse_picture_header, split_container
 from ..kernels import KernelSet
 from ..reconstruct import PROFILE_STAGES, FilterContext, PictureBuffers
 from ..syntax import MODE_INTER, PicParams, ctu_grid
 from . import exec as ex
-from .jobs import build_job_graph, gate_rows
+from .jobs import build_job_graph, ref_filter_row
 from .scheduler import Scheduler
 
 
@@ -86,7 +82,6 @@ class _Picture:
     slot: int = -1
     ctus: list = None
     fctx: FilterContext = None
-    lmcs_counts: list | None = None
     jobs: dict = field(default_factory=dict)
     recon_remaining: int = 0
     output_done: bool = False
@@ -197,7 +192,6 @@ class Decoder:
                 self._fail(pic_id, "P-picture cannot open a stream")
                 return
             pic = _Picture(pic_id=pic_id, header=header, params=params, payload=payload)
-            pic.lmcs_counts = header.lmcs_counts if self.seq.has_tool(TOOL_LMCS) else None
             pic.slot = self._free_slots.popleft()
             self._env.bufs[pic.slot].clear()
             pic.jobs = build_job_graph(pic_id, self._grid_rows, self._grid_cols)
@@ -216,7 +210,7 @@ class Decoder:
         if kind == "recon":
             _, _, r, c = key
             return (key, pic.slot, pic.params, pic.ctus[r * self._grid_cols + c],
-                    pic.lmcs_counts)
+                    pic.header.lmcs_counts)
         if kind == "mcpre":
             _, pid, r, c, i = key
             ctu = pic.ctus[r * self._grid_cols + c]
@@ -232,9 +226,8 @@ class Decoder:
         A job message goes out only while the in-flight count is below its
         credit: ``workers`` for a parse, which runs for a whole picture, and
         ``2 * workers`` for the short kinds, one queued behind each running
-        job so no worker waits a round trip between them.  The output
-        pseudo-job takes no credit; the heap hands it out first.  A job that
-        finds no credit leaves none for the jobs behind it: when a parse is
+        job so no worker waits a round trip between them.  A job that finds
+        no credit leaves none for the jobs behind it: when a parse is
         first, the jobs behind it are younger pictures' parses, since a
         picture's other jobs wait for its parse and parses go out in
         picture order.
@@ -243,9 +236,6 @@ class Decoder:
             return                      # inline backend pulls from sched.ready
         workers = self.config.workers
         while (key := self.sched.peek_ready()) is not None:
-            if key[0] == "output":
-                self._finish_output(self.sched.take_ready())
-                continue
             if self._in_flight >= (workers if key[0] == "parse" else 2 * workers):
                 return
             self.sched.take_ready()
@@ -294,45 +284,38 @@ class Decoder:
                 self._stage_s[stage] += secs
         if kind == "parse":
             pic.ctus = value
-            pic.fctx = FilterContext.from_ctus(
-                value, pic.params,
-                alf_coeffs=tuple(pic.header.alf_coeffs) if pic.header.alf_coeffs else None,
-                ccalf_coeffs=tuple(map(tuple, pic.header.ccalf_coeffs))
-                if pic.header.ccalf_coeffs else None,
-            )
+            pic.fctx = FilterContext.from_ctus(value, pic.params, pic.header)
             if pic.params.pic_type == 1:
                 self._spawn_prefetch(pic)
         elif kind == "recon":
             pic.recon_remaining -= 1
             if pic.recon_remaining == 0:
                 self._maybe_release_slot(pic.pic_id - 1)
-        elif kind == "filter":
-            self.sched.advance_finalized(pic.pic_id, value)
         self.sched.complete(key)
+        if kind == "filter" and key[2] == self._grid_rows - 1:
+            self._finish_output(pic)
         self._cond.notify_all()
 
     def _spawn_prefetch(self, pic: _Picture) -> None:
-        """One MC job per inter CU, keyed by its index in ``ctu.cus`` and
-        gated on the reference rows its CTU row may read; its CTU's recon
-        waits for it and reads the staged prediction."""
+        """One MC job per inter CU, keyed by its index in ``ctu.cus``.  It
+        waits for the reference filter row that finalizes the rows its CTU
+        row may read; its CTU's recon waits for it and reads the staged
+        prediction."""
         for r in range(self._grid_rows):
+            ref_key = ("filter", pic.pic_id - 1,
+                       ref_filter_row(r, self._grid_rows, self.seq.ctu_size,
+                                      self.seq.height, self.seq.max_mv_y))
             for c in range(self._grid_cols):
                 ctu = pic.ctus[r * self._grid_cols + c]
-                gate = (pic.pic_id - 1,
-                        gate_rows(r, self.seq.ctu_size, self.seq.height,
-                                  self.seq.max_mv_y))
                 for i, cu in enumerate(ctu.cus):
                     if cu.mode != MODE_INTER:
                         continue
-                    self.sched.add_prefetch(
-                        ("mcpre", pic.pic_id, r, c, i), gate,
-                        ("recon", pic.pic_id, r, c),
-                    )
+                    key = ("mcpre", pic.pic_id, r, c, i)
+                    pic.jobs[key] = self.sched.add_prefetch(
+                        key, ref_key, ("recon", pic.pic_id, r, c))
 
-    def _finish_output(self, key: tuple) -> None:
-        self.sched.complete(key)          # before slot release drops the job
-        pic_id = key[1]
-        pic = self.pics[pic_id]
+    def _finish_output(self, pic: _Picture) -> None:
+        pic_id = pic.pic_id
         bufs = self._env.bufs[pic.slot]
         planes = [bufs.get(comp, "final").copy() for comp in bufs.comp_names()]
         pic.frame = Frame(
@@ -362,7 +345,7 @@ class Decoder:
             return
         pic.slot_released = True
         self._free_slots.append(pic.slot)
-        self.sched.drop_picture(pic_id, list(pic.jobs))
+        self.sched.drop_picture(pic.jobs)
         pic.ctus = None
         pic.fctx = None
 
@@ -383,10 +366,7 @@ class Decoder:
             if key is None:
                 return
             try:
-                if key[0] == "output":
-                    self._finish_output(key)
-                else:
-                    self._handle_done(key, ex.run_job(self._job_message(key), self._env))
+                self._handle_done(key, ex.run_job(self._job_message(key), self._env))
             except Exception as e:
                 self._fail(key[1], e)
                 raise

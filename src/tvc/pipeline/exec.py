@@ -7,24 +7,20 @@ was built with ``profiling=True``, which ``JobEnv`` carries to every job.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..bitio import RangeDecoder
 from ..kernels import KernelSet
-from ..kernels.filters import lmcs_build_inverse
 from ..reconstruct import (
     PictureBuffers,
     ReconContext,
     StageClock,
     compute_mc_prediction,
     execute_filter_row,
+    inverse_lmcs_lut,
     reconstruct_ctu,
 )
 from ..syntax import CtxBank, MotionField, ParsedCtu, PicParams, ctu_grid, parse_ctu
-
-LUT_CACHE_PICTURES = 16
 
 
 @dataclass
@@ -37,16 +33,6 @@ class JobEnv:
     kset: KernelSet
     bufs: list[PictureBuffers]                 # one per DPB slot
     profiling: bool                            # record stage seconds per job
-    luts: dict[int, np.ndarray | None] = field(default_factory=dict)
-
-    def lmcs_lut(self, pic_id: int, counts, bit_depth: int) -> np.ndarray | None:
-        """Inverse LMCS LUT of one picture, built on its first recon job."""
-        if pic_id not in self.luts:
-            if len(self.luts) > LUT_CACHE_PICTURES:
-                self.luts.clear()
-            self.luts[pic_id] = (lmcs_build_inverse(counts, bit_depth)
-                                 if counts is not None else None)
-        return self.luts[pic_id]
 
 
 def parse_picture_payload(payload: bytes, params: PicParams) -> list[ParsedCtu]:
@@ -62,9 +48,10 @@ def parse_picture_payload(payload: bytes, params: PicParams) -> list[ParsedCtu]:
 def run_job(msg: tuple, env: JobEnv) -> tuple:
     """Execute one job message (``msg[0]`` is its key) and return the payload
     its completion carries: ``(value, stage seconds)``.  The value is the
-    parsed CTUs for parse, the finalized luma row count for filter, and None
-    for recon and mcpre.  Stage seconds are None unless ``env.profiling``;
-    time no stage claims is charged to "other"."""
+    parsed CTUs for parse and None for every other kind; the completion
+    itself is what releases the jobs that wait for it.  Stage seconds are
+    None unless ``env.profiling``; time no stage claims is charged to
+    "other"."""
     clock = StageClock(env.profiling)
     kind = msg[0][0]
     value = None
@@ -73,10 +60,10 @@ def run_job(msg: tuple, env: JobEnv) -> tuple:
         value = parse_picture_payload(payload, params)
         clock.lap("entropy")
     elif kind == "recon":
-        key, slot, params, ctu, lmcs_counts = msg
+        _, slot, params, ctu, lmcs_counts = msg
         ctx = ReconContext(
             pic=params, kernels=env.kset, bufs=env.bufs[slot],
-            lmcs_lut=env.lmcs_lut(key[1], lmcs_counts, params.bit_depth),
+            lmcs_lut=inverse_lmcs_lut(lmcs_counts, params.bit_depth),
             clock=clock,
         )
         reconstruct_ctu(ctu, ctx)
@@ -88,7 +75,7 @@ def run_job(msg: tuple, env: JobEnv) -> tuple:
         clock.lap("inter")
     elif kind == "filter":
         _, slot, row, params, fctx = msg
-        value = execute_filter_row(row, env.bufs[slot], fctx, env.kset, clock)
+        execute_filter_row(row, env.bufs[slot], fctx, env.kset, clock)
     else:
         raise ValueError(f"unknown job kind {kind!r}")
     return value, clock.stop()

@@ -1,13 +1,16 @@
-"""Job graph construction: kinds, wavefront dependencies, counter gates.
+"""Job graph construction: kinds, wavefront dependencies, reference-row edges.
 
 Job keys are tuples: ("parse", pic), ("recon", pic, r, c),
 ("mcpre", pic, r, c, i) with i the inter CU's index in the CTU's ``cus``,
-("filter", pic, r), ("output", pic).  Only "mcpre" jobs read the reference
-picture, so only they carry a counter gate on its finalized rows.
+and ("filter", pic, r).  Every job is released by its dependency count
+alone.  Only "mcpre" jobs read the reference picture, so only they depend
+on one of its filter rows: the row ``ref_filter_row`` names.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from ..reconstruct import band_limits
 
 
 def wavefront_deps(r: int, c: int, rows: int, cols: int) -> list[tuple[int, int]]:
@@ -20,9 +23,17 @@ def wavefront_deps(r: int, c: int, rows: int, cols: int) -> list[tuple[int, int]
     return deps
 
 
-def gate_rows(r: int, ctu_size: int, height: int, max_mv_y: int) -> int:
-    """Reference finalized-row requirement for motion-compensating CTU row r."""
-    return min(height, (r + 1) * ctu_size + max_mv_y + 4)
+def ref_filter_row(r: int, rows: int, ctu_size: int, height: int, max_mv_y: int) -> int:
+    """The filter row of a ``rows``-row reference picture whose completion
+    finalizes every row that motion compensation of CTU row ``r`` may read.
+
+    Filter rows complete in order and each finalizes the luma rows up to its
+    ``band_limits`` "final" end, so this is the first row whose end reaches
+    the CTU row's bottom plus the motion range and the 4-row filter support.
+    """
+    need = min(height, (r + 1) * ctu_size + max_mv_y + 4)
+    return next(k for k in range(rows)
+                if band_limits(k, rows, ctu_size, height)["final"][1] >= need)
 
 
 @dataclass
@@ -30,17 +41,15 @@ class Job:
     key: tuple
     dep_count: int = 0
     dependents: list = field(default_factory=list)
-    gate: tuple | None = None          # (ref_pic_id, required_finalized_rows)
     enqueued: bool = False
     done: bool = False
 
 
 def build_job_graph(pic_id: int, rows: int, cols: int) -> dict[tuple, Job]:
-    """Static per-picture jobs: parse -> recon wavefront -> filter rows -> output.
+    """Static per-picture jobs: parse -> recon wavefront -> filter rows.
 
     None of them reads another picture.  A P picture's "mcpre" jobs, the only
-    ones that read its reference and so the only gated ones, are added after
-    its parse.
+    ones that read its reference, are added after its parse.
     """
     jobs: dict[tuple, Job] = {}
 
@@ -66,7 +75,6 @@ def build_job_graph(pic_id: int, rows: int, cols: int) -> dict[tuple, Job]:
         if r > 0:
             deps.append(("filter", pic_id, r - 1))
         add(("filter", pic_id, r), deps)
-    add(("output", pic_id), [("filter", pic_id, rows - 1)])
     return jobs
 
 

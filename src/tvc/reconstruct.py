@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import syntax
 from .bitio import (
+    PictureHeader,
     SequenceHeader,
     TOOL_ALF,
     TOOL_CCALF,
@@ -30,6 +32,7 @@ from .bitio import (
     TOOL_SAO,
 )
 from .kernels import KernelSet
+from .kernels.filters import lmcs_build_inverse
 from .kernels.transforms import KIND_DCT2, mts_kinds
 from .syntax import (
     MODE_BDPCM,
@@ -171,6 +174,19 @@ class ReconContext:
     ref_bufs: PictureBuffers | None = None       # previous picture, read by MC only
     lmcs_lut: np.ndarray | None = None
     clock: StageClock = field(default_factory=StageClock)
+
+
+def inverse_lmcs_lut(counts, bit_depth: int) -> np.ndarray | None:
+    """Read-only inverse LMCS LUT of a picture header's codeword counts, or
+    None when the header carries none; each distinct table is built once."""
+    return None if counts is None else _inverse_lmcs_lut(tuple(counts), bit_depth)
+
+
+@lru_cache(maxsize=16)
+def _inverse_lmcs_lut(counts: tuple, bit_depth: int) -> np.ndarray:
+    lut = lmcs_build_inverse(counts, bit_depth)
+    lut.setflags(write=False)
+    return lut
 
 
 def _residual_block(cu, plane_idx, w, h, qp, kset, bit_depth):
@@ -424,7 +440,9 @@ class FilterContext:
 
     @classmethod
     def from_ctus(cls, ctus: list[ParsedCtu], pic: PicParams,
-                  alf_coeffs=None, ccalf_coeffs=None) -> "FilterContext":
+                  header: PictureHeader) -> "FilterContext":
+        """Filter context of one picture from its CTUs and the ALF/CCALF
+        coefficients of its header."""
         sao, alf_f, ccalf_f = {}, {}, {}
         for ctu in ctus:
             key = (ctu.row, ctu.col)
@@ -434,7 +452,9 @@ class FilterContext:
         return cls(
             pic=pic, meta=build_boundary_meta(ctus, pic), sao=sao,
             alf_flags=alf_f, ccalf_flags=ccalf_f,
-            alf_coeffs=alf_coeffs, ccalf_coeffs=ccalf_coeffs,
+            alf_coeffs=tuple(header.alf_coeffs) if header.alf_coeffs else None,
+            ccalf_coeffs=tuple(map(tuple, header.ccalf_coeffs))
+            if header.ccalf_coeffs else None,
         )
 
     def slice_for_row(self, row: int) -> "FilterContext":
@@ -571,16 +591,11 @@ def ccalf_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
 
 
 def execute_filter_row(row: int, bufs: PictureBuffers, fctx: FilterContext,
-                       kset: KernelSet, clock: StageClock) -> int:
+                       kset: KernelSet, clock: StageClock) -> None:
     """Run DBLK -> SAO -> ALF -> CCALF over CTU row ``row``'s finalizable band,
-    charging each stage's time to ``clock``.
-
-    Returns the new finalized luma row count.
-    """
+    charging each stage's time to ``clock``.  Afterwards the luma rows up to
+    ``band_limits(row, ...)["final"][1]`` are final."""
     for name, stage in (("dblk", deblock_row), ("sao", sao_row),
                         ("alf", alf_row), ("ccalf", ccalf_row)):
         stage(row, bufs, fctx, kset)
         clock.lap(name)
-    pic = fctx.pic
-    n_rows, _ = ctu_grid(pic.width, pic.height, pic.ctu_size)
-    return band_limits(row, n_rows, pic.ctu_size, pic.height)["final"][1]

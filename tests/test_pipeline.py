@@ -1,4 +1,5 @@
-"""Pipeline tests: job graph, scheduler, gates, determinism, filter bands."""
+"""Pipeline tests: job graph, scheduler, reference-row edges, determinism,
+filter bands."""
 import multiprocessing.queues
 import os
 import random
@@ -28,7 +29,7 @@ from tvc.pipeline import (
     DecoderConfig,
     build_job_graph,
     decode_container,
-    gate_rows,
+    ref_filter_row,
     wavefront_deps,
 )
 from tvc.pipeline.decoder import params_from_headers
@@ -112,25 +113,47 @@ def test_job_graph_2x3_example():
 
 def test_job_graph_1x1_is_linear_chain():
     jobs = build_job_graph(0, 1, 1)
+    assert list(jobs) == [("parse", 0), ("recon", 0, 0, 0), ("filter", 0, 0)]
+    assert jobs[("parse", 0)].dependents == [("recon", 0, 0, 0)]
+    assert jobs[("recon", 0, 0, 0)].dependents == [("filter", 0, 0)]
     assert jobs[("recon", 0, 0, 0)].dep_count == 1
     assert jobs[("filter", 0, 0)].dep_count == 1
-    assert jobs[("output", 0)].dep_count == 1
+    assert jobs[("filter", 0, 0)].dependents == []
     assert_acyclic(jobs)
 
 
+@pytest.mark.parametrize("cs", [32, 64])
+def test_ref_filter_row_is_first_row_reaching_the_motion_range(cs):
+    """The reference filter row an mcpre job waits for is the first whose
+    completion finalizes min(height, (r+1)*cs + max_mv_y + 4) luma rows."""
+    for height in (64, 200, 1080):
+        rows = -(-height // cs)
+        ends = [band_limits(k, rows, cs, height)["final"][1] for k in range(rows)]
+        for max_mv_y in (0, 9, 64, 255):
+            for r in range(rows):
+                need = min(height, (r + 1) * cs + max_mv_y + 4)
+                k = ref_filter_row(r, rows, cs, height, max_mv_y)
+                assert ends[k] >= need, (height, max_mv_y, r)
+                assert k == 0 or ends[k - 1] < need, (height, max_mv_y, r)
+
+
 def test_p_picture_row0_gate_example(corpus_cache, monkeypatch):
-    # ctu 64, max_mv_y 64: requires finalized_rows(ref) >= 132
-    assert gate_rows(0, 64, 1080, 64) == 132
-    # only a P picture's mcpre jobs are gated, each on its CTU row's rows of
-    # the previous picture; no static job carries a gate
-    assert all(j.gate is None for j in build_job_graph(1, 2, 2).values())
+    # ctu 64, max_mv_y 64: row 0 needs 132 final reference rows; filter rows
+    # 0, 1, 2 finalize 56, 120, 184 of 1080
+    assert ref_filter_row(0, 17, 64, 1080, 64) == 2
+    # no static job waits for another picture: only a P picture's mcpre jobs
+    # do, each on the previous picture's filter row for its CTU row
+    for job in build_job_graph(1, 2, 2).values():
+        assert all(d[1] == 1 for d in job.dependents)
     seen = spy_prefetch(monkeypatch)
     blob, _ = corpus_cache.get("ipp_ds_10")
-    seq = drain(blob, DecoderConfig(workers=1)).seq
+    dec = drain(blob, DecoderConfig(workers=1))
+    seq, rows = dec.seq, dec._grid_rows
     assert seen
-    for (kind, pic, r, _c, _i), gate in seen:
+    for (kind, pic, r, _c, _i), ref_key in seen:
         assert kind == "mcpre" and pic > 0
-        assert gate == (pic - 1, gate_rows(r, seq.ctu_size, seq.height, seq.max_mv_y))
+        assert ref_key == ("filter", pic - 1, ref_filter_row(
+            r, rows, seq.ctu_size, seq.height, seq.max_mv_y))
 
 
 def test_job_graphs_acyclic():
@@ -157,42 +180,50 @@ def test_scheduler_oldest_picture_first():
         Job(key=("parse", 2)),
         Job(key=("recon", 1, 0, 1)),
         Job(key=("recon", 0, 1, 0)),
-        Job(key=("mcpre", 2, 0, 0, 1), gate=(1, 32)),
         Job(key=("filter", 0, 0)),
         Job(key=("recon", 0, 0, 1)),
-        Job(key=("mcpre", 1, 1, 0, 0), gate=(0, 64)),
+        # pending: the reference rows two MC jobs wait for, and their recons
+        Job(key=("filter", 0, 1), dep_count=1),
+        Job(key=("filter", 1, 0), dep_count=1),
+        Job(key=("recon", 1, 1, 0), dep_count=1),
+        Job(key=("recon", 2, 0, 0), dep_count=1),
     ]
     s.add_jobs({j.key: j for j in jobs})
+    s.add_prefetch(("mcpre", 2, 0, 0, 1), ("filter", 1, 0), ("recon", 2, 0, 0))
+    s.add_prefetch(("mcpre", 1, 1, 0, 0), ("filter", 0, 1), ("recon", 1, 1, 0))
     assert s.peek_ready() == ("filter", 0, 0)
     assert s.take_ready() == ("filter", 0, 0)
-    s.advance_finalized(1, 32)          # releases picture 2's MC first
-    s.advance_finalized(0, 64)
+    s.complete(("filter", 1, 0))        # releases picture 2's MC first
+    s.complete(("filter", 0, 1))
     assert [s.take_ready() for _ in range(6)] == [
         ("recon", 0, 0, 1), ("recon", 0, 1, 0),
         ("mcpre", 1, 1, 0, 0), ("recon", 1, 0, 1),
         ("parse", 2), ("mcpre", 2, 0, 0, 1),
     ]
     assert s.take_ready() is None and s.peek_ready() is None
-    # the output pseudo-job takes no worker, so it never waits behind a job
-    s.add_jobs({("output", 3): Job(key=("output", 3)), ("parse", 0): Job(key=("parse", 0))})
-    assert s.take_ready() == ("output", 3)
 
 
-def test_scheduler_gate_parks_and_releases_in_order():
+def test_scheduler_mcpre_released_by_its_reference_row():
     s = Scheduler()
-    a = Job(key=("recon", 1, 0, 0), gate=(0, 100))
-    b = Job(key=("recon", 1, 1, 0), gate=(0, 50))
-    s.add_jobs({a.key: a, b.key: b})
-    assert s.take_ready() is None                  # both parked
-    s.advance_finalized(0, 49)
+    s.add_jobs(build_job_graph(0, 2, 1))
+    s.add_jobs(build_job_graph(1, 2, 1))
+    for key in (("parse", 0), ("recon", 0, 0, 0), ("recon", 0, 1, 0), ("filter", 0, 0)):
+        assert s.take_ready() == key
+        s.complete(key)
+    # picture 0's filter row 1 is still running when picture 1's parse ends
+    assert s.take_ready() == ("filter", 0, 1)
+    assert s.take_ready() == ("parse", 1)
+    # as the decoder does on a P picture's parse: its MC jobs first, here one
+    # per CTU row.  Row 0's reference row is done, so its MC is ready at
+    # once; row 1's is running, and its completion releases row 1's MC
+    s.add_prefetch(("mcpre", 1, 0, 0, 0), ("filter", 0, 0), ("recon", 1, 0, 0))
+    s.add_prefetch(("mcpre", 1, 1, 0, 0), ("filter", 0, 1), ("recon", 1, 1, 0))
+    s.complete(("parse", 1))
+    assert s.take_ready() == ("mcpre", 1, 0, 0, 0)
     assert s.take_ready() is None
-    s.advance_finalized(0, 50)
-    assert s.take_ready() == b.key
-    s.advance_finalized(0, 200)
-    assert s.take_ready() == a.key
-    # monotonicity: a smaller later value must not regress
-    s.advance_finalized(0, 10)
-    assert s.finalized[0] == 200
+    s.complete(("filter", 0, 1))
+    assert s.take_ready() == ("mcpre", 1, 1, 0, 0)
+    assert s.jobs[("recon", 1, 0, 0)].dep_count == 1     # waits for row 0's MC
 
 
 def test_scheduler_exactly_once():
@@ -262,13 +293,14 @@ def test_worker_counts_produce_identical_hashes(corpus_cache):
 
 
 def spy_prefetch(monkeypatch) -> list:
-    """Record the (key, gate) of every mcpre job the scheduler is given."""
+    """Record the (key, reference key) of every mcpre job the scheduler is
+    given."""
     seen = []
     add_prefetch = Scheduler.add_prefetch
 
-    def spy(self, key, gate, recon_key):
-        seen.append((key, gate))
-        add_prefetch(self, key, gate, recon_key)
+    def spy(self, key, ref_key, recon_key):
+        seen.append((key, ref_key))
+        return add_prefetch(self, key, ref_key, recon_key)
 
     monkeypatch.setattr(Scheduler, "add_prefetch", spy)
     return seen
@@ -284,6 +316,17 @@ def drain(data, config):
         while dec.next_frame(timeout=60) is not None:
             pass
     return dec
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_finished_pictures_leave_no_jobs(corpus_cache, workers):
+    """Every job still in the scheduler after a whole decode belongs to a
+    picture that still holds its slot; mcpre jobs included."""
+    blob, _ = corpus_cache.get("ipp_ds_10")
+    dec = drain(blob, DecoderConfig(workers=workers))
+    for key in dec.sched.jobs:
+        pic = dec.pics.get(key[1])
+        assert pic is not None and not pic.slot_released, key
 
 
 def test_mcpre_spawn_counts(corpus_cache, monkeypatch):
