@@ -3,17 +3,21 @@
 Two executor backends share all scheduling logic and all job code: each
 job becomes one message (``_job_message``) that ``exec.run_job`` executes.
 
-* inline (workers=1): the caller's thread runs jobs serially — the
-  reference execution the determinism suite compares everything against;
+* inline (workers=1): the caller's thread runs jobs serially against the
+  decoder's own ``JobEnv`` — the reference execution the determinism
+  suite compares everything against;
 * process pool (workers >= 2): a dispatch thread owns the scheduler and
   dependency counters and queues the messages; forked worker processes run
   them against sample planes living in one shared-memory arena and post
   completions back.
 
 Both backends take ready jobs oldest picture first from the scheduler's
-heap.  The pool also holds each job back until the workers have credit
-for it (``_push_ready``), so a queued parse of picture 2 never delays
-picture 0's reconstruction.
+heap.  The pool sends every job of picture ``p`` to worker ``p % workers``
+on that worker's own queue, where its parse left the parsed CTUs, so no
+message carries parsed data.  A job goes on the queue once each of its
+dependencies is complete or already on that queue (``_push_ready``); a
+parse goes only to a worker with nothing outstanding, so a queued parse of
+picture 2 never delays picture 0's reconstruction.
 
 P pictures motion-compensate in one "mcpre" job per inter CU, the only jobs
 that read the reference: each depends on the reference's filter row that
@@ -38,8 +42,8 @@ import numpy as np
 
 from ..bitio import PictureHeader, SequenceHeader, parse_picture_header, split_container
 from ..kernels import KernelSet
-from ..reconstruct import PROFILE_STAGES, FilterContext, PictureBuffers
-from ..syntax import MODE_INTER, PicParams, ctu_grid
+from ..reconstruct import PROFILE_STAGES, PictureBuffers
+from ..syntax import PicParams, ctu_grid
 from . import exec as ex
 from .jobs import build_job_graph, ref_filter_row
 from .scheduler import Scheduler
@@ -80,8 +84,6 @@ class _Picture:
     params: PicParams
     payload: bytes
     slot: int = -1
-    ctus: list = None
-    fctx: FilterContext = None
     jobs: dict = field(default_factory=dict)
     recon_remaining: int = 0
     output_done: bool = False
@@ -124,7 +126,7 @@ class Decoder:
         n_slots = self._active_cap + 2
         self._free_slots = deque(range(n_slots))
         self._multiproc = config.workers >= 2
-        self._in_flight = 0                          # job messages without a result
+        self._outstanding = [0] * config.workers     # per worker: jobs without a result
         if self._multiproc:
             # slot planes live in one shared arena; the forked workers
             # inherit self._env and with it views of the same memory
@@ -143,15 +145,14 @@ class Decoder:
         if self._multiproc:
             # mp.Queue buffers through a feeder thread, so put() never blocks
             # on a full pipe; a SimpleQueue here deadlocks master against
-            # workers once parse-result pickles exceed the pipe capacity
-            self._task_q = mp_ctx.Queue()
+            # workers once queued messages exceed the pipe capacity
+            self._task_qs = [mp_ctx.Queue() for _ in range(config.workers)]
             self._result_q = mp_ctx.Queue()
             from .worker import worker_main
             self._workers = [
                 mp_ctx.Process(target=worker_main,
-                               args=(self._env, self._task_q, self._result_q),
-                               daemon=True)
-                for _ in range(config.workers)
+                               args=(self._env, i, q, self._result_q), daemon=True)
+                for i, q in enumerate(self._task_qs)
             ]
             for w in self._workers:
                 w.start()
@@ -206,41 +207,29 @@ class Decoder:
         kind = key[0]
         pic = self.pics[key[1]]
         if kind == "parse":
-            return (key, pic.payload, pic.params)
-        if kind == "recon":
-            _, _, r, c = key
-            return (key, pic.slot, pic.params, pic.ctus[r * self._grid_cols + c],
-                    pic.header.lmcs_counts)
+            return (key, pic.payload, pic.params, pic.header)
         if kind == "mcpre":
-            _, pid, r, c, i = key
-            ctu = pic.ctus[r * self._grid_cols + c]
-            return (key, pic.slot, self.pics[pid - 1].slot, pic.params, ctu.cus[i])
-        if kind == "filter":
-            _, pid, row = key
-            return (key, pic.slot, row, pic.params, pic.fctx.slice_for_row(row))
-        raise ValueError(kind)
+            return (key, pic.slot, self.pics[key[1] - 1].slot, pic.params)
+        return (key, pic.slot, pic.params)
 
     def _push_ready(self) -> None:
-        """Queue ready jobs for the workers, oldest picture first (inline: no-op).
+        """Queue ready jobs on their owners' queues, oldest picture first
+        (inline: no-op).
 
-        A job message goes out only while the in-flight count is below its
-        credit: ``workers`` for a parse, which runs for a whole picture, and
-        ``2 * workers`` for the short kinds, one queued behind each running
-        job so no worker waits a round trip between them.  A job that finds
-        no credit leaves none for the jobs behind it: when a parse is
-        first, the jobs behind it are younger pictures' parses, since a
-        picture's other jobs wait for its parse and parses go out in
-        picture order.
+        Picture ``p``'s jobs all go to worker ``p % workers``, whose queue is
+        a FIFO with one reader, so a job sent there releases the jobs of its
+        picture that wait for it (``Scheduler.sent``): they run after it.  A
+        parse waits until its worker has nothing outstanding, so it never
+        queues ahead of an older picture's reconstruction.
         """
         if not self._multiproc:
             return                      # inline backend pulls from sched.ready
-        workers = self.config.workers
-        while (key := self.sched.peek_ready()) is not None:
-            if self._in_flight >= (workers if key[0] == "parse" else 2 * workers):
-                return
-            self.sched.take_ready()
-            self._in_flight += 1
-            self._task_q.put(self._job_message(key))
+        n = self.config.workers
+        busy = lambda key: key[0] == "parse" and self._outstanding[key[1] % n] > 0
+        while (key := self.sched.take_ready(busy)) is not None:
+            self._outstanding[key[1] % n] += 1
+            self._task_qs[key[1] % n].put(self._job_message(key))
+            self.sched.sent(key)
 
     def _dispatch_loop(self) -> None:
         """Handle worker results until close() posts None; after a failure or
@@ -248,18 +237,17 @@ class Decoder:
         queued behind the workers' stop sentinels."""
         while (msg := self._result_q.get()) is not None:
             with self._cond:
-                self._in_flight -= 1
+                worker, status, key, payload = msg
+                self._outstanding[worker] -= 1
                 if self.error is not None or self.closed:
                     continue
                 try:
-                    status, key, payload = msg
                     if status == "error":
                         self._fail(key[1], payload)
                         continue
                     self._handle_done(key, payload)
                     self._push_ready()
                     self._admit_pending()
-                    self._push_ready()
                 except Exception as e:           # defect guard: fail loudly
                     self._fail(-1, f"dispatch failure on {msg!r:.200}: {e!r}")
 
@@ -282,11 +270,8 @@ class Decoder:
         if times:
             for stage, secs in times.items():
                 self._stage_s[stage] += secs
-        if kind == "parse":
-            pic.ctus = value
-            pic.fctx = FilterContext.from_ctus(value, pic.params, pic.header)
-            if pic.params.pic_type == 1:
-                self._spawn_prefetch(pic)
+        if kind == "parse" and pic.params.pic_type == 1:
+            self._spawn_prefetch(pic, value)
         elif kind == "recon":
             pic.recon_remaining -= 1
             if pic.recon_remaining == 0:
@@ -296,20 +281,17 @@ class Decoder:
             self._finish_output(pic)
         self._cond.notify_all()
 
-    def _spawn_prefetch(self, pic: _Picture) -> None:
-        """One MC job per inter CU, keyed by its index in ``ctu.cus``.  It
-        waits for the reference filter row that finalizes the rows its CTU
-        row may read; its CTU's recon waits for it and reads the staged
-        prediction."""
+    def _spawn_prefetch(self, pic: _Picture, inter: list[list[int]]) -> None:
+        """One MC job per inter CU, keyed by its index in ``ctu.cus``
+        (``inter`` lists them per CTU, in raster order).  It waits for the
+        reference filter row that finalizes the rows its CTU row may read;
+        its CTU's recon waits for it and reads the staged prediction."""
         for r in range(self._grid_rows):
             ref_key = ("filter", pic.pic_id - 1,
                        ref_filter_row(r, self._grid_rows, self.seq.ctu_size,
                                       self.seq.height, self.seq.max_mv_y))
             for c in range(self._grid_cols):
-                ctu = pic.ctus[r * self._grid_cols + c]
-                for i, cu in enumerate(ctu.cus):
-                    if cu.mode != MODE_INTER:
-                        continue
+                for i in inter[r * self._grid_cols + c]:
                     key = ("mcpre", pic.pic_id, r, c, i)
                     pic.jobs[key] = self.sched.add_prefetch(
                         key, ref_key, ("recon", pic.pic_id, r, c))
@@ -346,8 +328,6 @@ class Decoder:
         pic.slot_released = True
         self._free_slots.append(pic.slot)
         self.sched.drop_picture(pic.jobs)
-        pic.ctus = None
-        pic.fctx = None
 
     def _fail(self, pic_id: int, error: Exception | str) -> None:
         """Keep the first failure: a job's own exception, or a DecodeError."""
@@ -421,8 +401,8 @@ class Decoder:
             self.closed = True
         if self._multiproc:
             # the dispatch thread drains results until every worker is gone
-            for _ in self._workers:
-                self._task_q.put(None)
+            for q in self._task_qs:
+                q.put(None)
             for w in self._workers:
                 w.join(timeout=5)
                 if w.is_alive():
@@ -430,7 +410,8 @@ class Decoder:
                     w.join()
             # no reader is left: tasks a dead pool never took must not hold
             # up interpreter exit
-            self._task_q.cancel_join_thread()
+            for q in self._task_qs:
+                q.cancel_join_thread()
             self._result_q.put(None)
             self._dispatch_thread.join(timeout=5)
             self._watch_thread.join(timeout=5)

@@ -42,6 +42,7 @@ class Job:
     dep_count: int = 0
     dependents: list = field(default_factory=list)
     enqueued: bool = False
+    sent: bool = False              # on its worker's queue (pool only)
     done: bool = False
 
 

@@ -1,12 +1,14 @@
 """Worker-process main loop for the process-backed worker pool.
 
 Workers are forked from the decoder, so they inherit its ``JobEnv``: the
-kernel set and the slot planes, which are views of the shared arena.  They
-take job messages from the task queue in the order the master put them
-(oldest picture first, and at most ``2 * workers`` outstanding) and post
-one completion per message, an error included, since the master counts
-them against its credit.  They hold no authoritative state: dependency
-bookkeeping lives with the master's dispatch thread.
+kernel set and the slot planes, which are views of the shared arena.  Each
+worker reads its own task queue, which carries every job of the pictures
+it owns (picture ``p`` belongs to worker ``p % workers``), in the order
+the master put them.  A parse keeps its picture's parsed data in this
+process's ``JobEnv``, so the picture's later jobs find it here.  A worker
+posts one completion per message, an error included, tagged with its
+index, since the master counts what each worker has outstanding.
+Dependency bookkeeping lives with the master's dispatch thread.
 """
 from __future__ import annotations
 
@@ -16,16 +18,13 @@ import traceback
 from .exec import JobEnv, run_job
 
 
-def worker_main(env: JobEnv, task_q, result_q) -> None:
-    while True:
-        msg = task_q.get()
-        if msg is None:
-            return
+def worker_main(env: JobEnv, index: int, task_q, result_q) -> None:
+    while (msg := task_q.get()) is not None:
         key = msg[0]
         try:
-            result = ("done", key, run_job(msg, env))
+            result = (index, "done", key, run_job(msg, env))
         except Exception as e:
-            result = ("error", key, _portable(e))
+            result = (index, "error", key, _portable(e))
         result_q.put(result)
 
 

@@ -315,7 +315,7 @@ class BoundaryMeta:
     """Per-4x4-luma-cell CU metadata for boundary-strength derivation.
 
     ``row_off`` is the absolute 4-cell row of this slice's first row, so
-    band slices ship to workers without reindexing.
+    a band slice is indexed like the whole picture.
     """
 
     cu_id: np.ndarray
@@ -426,8 +426,7 @@ def deblock_band(bufs: PictureBuffers, comp: str, meta: BoundaryMeta,
 class FilterContext:
     """Everything execute_filter_row needs besides the sample planes.
 
-    Per-CTU params are keyed by (row, col) so a single band's slice can be
-    shipped to a worker process without reindexing.
+    Per-CTU params are keyed by (row, col).
     """
 
     pic: PicParams
@@ -455,17 +454,6 @@ class FilterContext:
             alf_coeffs=tuple(header.alf_coeffs) if header.alf_coeffs else None,
             ccalf_coeffs=tuple(map(tuple, header.ccalf_coeffs))
             if header.ccalf_coeffs else None,
-        )
-
-    def slice_for_row(self, row: int) -> "FilterContext":
-        """Band slice: metadata and params rows row-1 .. row+1 only."""
-        cs4 = self.pic.ctu_size // 4
-        meta = self.meta.rows_slice(row * cs4 - 2, (row + 1) * cs4 + 2)
-        keep = lambda d: {k: v for k, v in d.items() if row - 1 <= k[0] <= row + 1}
-        return FilterContext(
-            pic=self.pic, meta=meta, sao=keep(self.sao),
-            alf_flags=keep(self.alf_flags), ccalf_flags=keep(self.ccalf_flags),
-            alf_coeffs=self.alf_coeffs, ccalf_coeffs=self.ccalf_coeffs,
         )
 
 

@@ -33,12 +33,12 @@ from tvc.pipeline import (
     wavefront_deps,
 )
 from tvc.pipeline.decoder import params_from_headers
-from tvc.pipeline.exec import parse_picture_payload
+from tvc.pipeline.exec import JobEnv, parse_picture_payload, run_job
 from tvc.pipeline.jobs import assert_acyclic
 from tvc.pipeline.scheduler import Scheduler
 from tvc.pipeline.jobs import Job
-from tvc.reconstruct import PROFILE_STAGES, band_limits, build_boundary_meta
-from tvc.syntax import MODE_INTER
+from tvc.reconstruct import PROFILE_STAGES, PictureBuffers, band_limits, build_boundary_meta
+from tvc.syntax import MODE_INTER, ctu_grid
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +321,38 @@ def drain(data, config):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_finished_pictures_leave_no_jobs(corpus_cache, workers):
     """Every job still in the scheduler after a whole decode belongs to a
-    picture that still holds its slot; mcpre jobs included."""
+    picture that still holds its slot; mcpre jobs included.  No parsed
+    picture stays in the master's JobEnv: inline, each was dropped by its
+    last filter row; on the pool, the master parses none."""
     blob, _ = corpus_cache.get("ipp_ds_10")
     dec = drain(blob, DecoderConfig(workers=workers))
     for key in dec.sched.jobs:
         pic = dec.pics.get(key[1])
         assert pic is not None and not pic.slot_released, key
+    assert dec._env.parsed == {}
+
+
+def test_last_filter_row_drops_the_parsed_picture(corpus_cache):
+    """A parse leaves its picture in ``JobEnv.parsed`` for the picture's
+    later jobs, and the last filter row removes it."""
+    blob, recons = corpus_cache.get("ipp_ds_10")
+    seq, units = bitio.split_container(blob)
+    header, payload = bitio.parse_picture_header(units[0], seq)
+    params = params_from_headers(seq, header)
+    env = JobEnv(KernelSet(), [PictureBuffers(seq)], profiling=False)
+    inter, times = run_job((("parse", 0), payload, params, header), env)
+    rows, cols = ctu_grid(seq.width, seq.height, seq.ctu_size)
+    assert inter == [[]] * (rows * cols) and times is None and list(env.parsed) == [0]
+    for r in range(rows):
+        for c in range(cols):
+            run_job((("recon", 0, r, c), 0, params), env)
+    for r in range(rows):
+        assert list(env.parsed) == [0], r
+        run_job((("filter", 0, r), 0, params), env)
+    assert env.parsed == {}
+    bufs = env.bufs[0]
+    for comp, want in zip(bufs.comp_names(), recons[0]):
+        assert np.array_equal(bufs.get(comp, "final"), want), comp
 
 
 def test_mcpre_spawn_counts(corpus_cache, monkeypatch):
@@ -402,44 +428,91 @@ def test_corrupt_payload_error_on_both_backends(corpus_cache):
     assert str(pool_error.value) == str(inline_error.value)
 
 
-def test_pool_credit_bounds_in_flight_jobs(corpus_cache, monkeypatch):
-    """A workers=2 decode puts a parse only while fewer than 2 job messages
-    are without a result, and never has more than 4 without one."""
+def record_pool_dispatch(monkeypatch, blob):
+    """Decode ``blob`` at workers=2, recording the master's side of the
+    queues.  Returns the frame digests and the events: ``("put", worker,
+    key)`` per task message, the worker being the index of the queue it
+    went on, and ``("done", worker, key)`` per result, with the worker the
+    result names."""
     master = os.getpid()
-    events = []                         # +1 per task put, -1 per result taken
+    events = []
     queue_cls = multiprocessing.queues.Queue
     put, get = queue_cls.put, queue_cls.get
 
     def recording_put(q, obj, *args, **kw):
         if os.getpid() == master and obj is not None:       # a task message
-            events.append((1, obj[0][0]))
+            events.append(("put", q, obj[0]))
         return put(q, obj, *args, **kw)
 
     def recording_get(q, *args, **kw):
         obj = get(q, *args, **kw)
         if os.getpid() == master and obj is not None:       # a worker's result
-            events.append((-1, obj[1][0]))
+            events.append(("done", obj[0], obj[2]))
         return obj
 
     monkeypatch.setattr(queue_cls, "put", recording_put)
     monkeypatch.setattr(queue_cls, "get", recording_get)
-    blob, _ = corpus_cache.get("ai_grad_8_loops")
-    digests = [frame_md5(f.planes, 8)
-               for f in decode_container(blob, DecoderConfig(workers=2))]
+    seq, units = bitio.split_container(blob)
+    with Decoder(seq, DecoderConfig(workers=2)) as dec:
+        for unit in units:
+            dec.feed(unit)
+        dec.end_of_stream()
+        digests = []
+        while (frame := dec.next_frame(timeout=60)) is not None:
+            digests.append(frame_md5(frame.planes, frame.bit_depth))
     monkeypatch.undo()
+    index = {id(q): i for i, q in enumerate(dec._task_qs)}
+    return digests, [(what, index[id(w)] if what == "put" else w, key)
+                     for what, w, key in events]
 
-    with open(os.path.join(os.path.dirname(__file__), "golden",
-                           "ai_grad_8_loops.md5")) as fh:
+
+def job_deps(key, seq, mcpre_keys) -> list:
+    """Every job ``key`` waits for: its static edges, its CTU's mcpre jobs,
+    and an mcpre job's reference filter row."""
+    rows, cols = ctu_grid(seq.width, seq.height, seq.ctu_size)
+    if key[0] == "mcpre":
+        return [("filter", key[1] - 1,
+                 ref_filter_row(key[2], rows, seq.ctu_size, seq.height, seq.max_mv_y))]
+    graph = build_job_graph(key[1], rows, cols)
+    return ([k for k, job in graph.items() if key in job.dependents]
+            + [k for k in mcpre_keys if k[:4] == ("mcpre",) + key[1:]])
+
+
+@pytest.mark.parametrize("name, static_puts", [
+    ("ai_grad_8_loops", {"parse": 3, "recon": 18, "filter": 6}),
+    ("ipp_tex_8_loops", {"parse": 4, "recon": 24, "filter": 8}),
+])
+def test_pool_dispatch_invariants(name, static_puts, corpus_cache, monkeypatch):
+    """At workers=2 every job of a picture is put on, and run by, one
+    worker; a job is put only once each of its dependencies is complete or
+    was put before it on the same queue (a parse's dependents only once it
+    is complete); a parse is put only to a worker with nothing outstanding."""
+    blob, _ = corpus_cache.get(name)
+    seq, _ = bitio.split_container(blob)
+    digests, events = record_pool_dispatch(monkeypatch, blob)
+    with open(os.path.join(os.path.dirname(__file__), "golden", f"{name}.md5")) as fh:
         assert digests == parse_hash_lines(fh.read())[0]
-    in_flight = 0
-    for step, kind in events:
-        if step == 1 and kind == "parse":
-            assert in_flight < 2, events
-        in_flight += step
-        assert 0 <= in_flight <= 4, events
-    assert in_flight == 0
-    puts = Counter(kind for step, kind in events if step == 1)
-    assert puts == {"parse": 3, "recon": 18, "filter": 6}
+
+    mcpre_keys = [key for what, _, key in events if what == "put" and key[0] == "mcpre"]
+    pic_worker, key_worker, done, outstanding = {}, {}, set(), Counter()
+    for what, worker, key in events:
+        if what == "done":
+            assert key_worker[key] == worker, key       # run where it was put
+            outstanding[worker] -= 1
+            done.add(key)
+            continue
+        assert pic_worker.setdefault(key[1], worker) == worker, key
+        assert key[0] != "parse" or outstanding[worker] == 0, key
+        for dep in job_deps(key, seq, mcpre_keys):
+            queued_before = dep[0] != "parse" and key_worker.get(dep) == worker
+            assert dep in done or queued_before, (key, dep)
+        key_worker[key] = worker
+        outstanding[worker] += 1
+    assert done == set(key_worker) and set(outstanding.values()) == {0}
+    assert set(pic_worker.values()) == {0, 1}
+    puts = Counter(key[0] for what, _, key in events if what == "put")
+    assert (puts.pop("mcpre", 0) > 0) == name.startswith("ipp")
+    assert puts == static_puts
 
 
 def truncate_payload(data: bytes, seed: int) -> bytes:
@@ -517,7 +590,9 @@ seq = SequenceHeader(width=64, height=64, frame_count=4)
 dec = Decoder(seq, DecoderConfig(workers=2))
 for w in dec._workers:
     w.kill()
-for poc in range(4):          # the credit sends two 64 KiB parses, more than a pipe holds
+# a parse goes only to an idle worker: each dead worker's queue gets one
+# 64 KiB parse, more than a pipe holds
+for poc in range(4):
     dec.feed(bitio.write_picture_header(PictureHeader(pic_type=0, poc=poc, qp=30),
                                         seq, bytes(1 << 16))[4:])
 try:
