@@ -481,7 +481,7 @@ def job_deps(key, seq, mcpre_keys) -> list:
 @pytest.mark.parametrize("name, static_puts", [
     ("ai_grad_8_loops", {"parse": 3, "recon": 18, "filter": 6}),
     ("ipp_tex_8_loops", {"parse": 4, "recon": 24, "filter": 8}),
-])
+], ids=["ai_grad_8_loops", "ipp_tex_8_loops"])
 def test_pool_dispatch_invariants(name, static_puts, corpus_cache, monkeypatch):
     """At workers=2 every job of a picture is put on, and run by, one
     worker; a job is put only once each of its dependencies is complete or
